@@ -1,64 +1,269 @@
-"""Kernel backend selection.
+"""Search kernels over row/column bitmasks.
 
-Imports the compiled kernels when the extension was built, otherwise the
-pure-Python twins.  Both expose the same functions with identical
-semantics (including tie-breaking), so results never depend on the
-backend; only speed does.  The compiled kernels use 64-bit masks, so
-instances with more than 64 rows, columns, or subset members go to the
-Python twins regardless of backend.  `bench/bench_backends.py` compares
-them.
+These are the hot inner loops of the detectors.  Masks are Python ints
+built by `core.bitmasks`, so every kernel works at any table width.
+Every search is deterministic: candidates are tried in ascending index
+order and the first witness found at the record length is kept, which
+makes it the lexicographically smallest maximal witness.
+
+All functions report `exact=False` (lower bounds only) once the node
+budget is exhausted.
 """
 from __future__ import annotations
 
-from . import _kernels_py
+BACKEND_NAME = "python"
 
-try:  # pragma: no cover - exercised only when the extension is built
-    from . import _kernels_c  # type: ignore[attr-defined]
 
-    _impl = _kernels_c
-except ImportError:  # pragma: no cover
-    _impl = _kernels_py
+def _iter_bits(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
-BACKEND_NAME: str = _impl.BACKEND_NAME
 
-_LIMIT = 64
+class _BudgetHit(Exception):
+    pass
 
-if _impl is _kernels_py:
-    ladder_search = _kernels_py.ladder_search
-    clique_search = _kernels_py.clique_search
-    alternation_iii_search = _kernels_py.alternation_iii_search
-    shatter_dim_search = _kernels_py.shatter_dim_search
-    dk_count_free = _kernels_py.dk_count_free
-    dk_count_distinct = _kernels_py.dk_count_distinct
-else:
 
-    def ladder_search(ge_by_col, le_by_row, budget):
-        if len(ge_by_col) > _LIMIT or len(le_by_row) > _LIMIT:
-            return _kernels_py.ladder_search(ge_by_col, le_by_row, budget)
-        return _impl.ladder_search(ge_by_col, le_by_row, budget)
+def ladder_search(ge_by_col: list[int], le_by_row: list[int], budget: int):
+    """Longest ladder (rows, cols) under precomputed feasibility masks.
 
-    def clique_search(adj, budget):
-        if len(adj) > _LIMIT:
-            return _kernels_py.clique_search(adj, budget)
-        return _impl.clique_search(adj, budget)
+    ge_by_col[j] = bitmask of rows p with T[p][j] >= r;
+    le_by_row[i] = bitmask of cols q with T[i][q] <= s.
+    Row and column indices are each used at most once.
+    Returns (length, rows, cols, exact).
+    """
+    n_rows = len(le_by_row)
+    n_cols = len(ge_by_col)
+    best_len = 0
+    best_rows: tuple[int, ...] = ()
+    best_cols: tuple[int, ...] = ()
+    nodes = 0
+    seen: dict[tuple[int, int], int] = {}
 
-    def alternation_iii_search(values, eps, n_rows, n_cols, budget):
-        if n_rows > _LIMIT or n_cols > _LIMIT:
-            return _kernels_py.alternation_iii_search(values, eps, n_rows, n_cols, budget)
-        return _impl.alternation_iii_search(values, eps, n_rows, n_cols, budget)
+    def rec(avail_rows: int, avail_cols: int, rseq: list[int], cseq: list[int]):
+        nonlocal best_len, best_rows, best_cols, nodes
+        depth = len(rseq)
+        if depth > best_len:
+            best_len = depth
+            best_rows = tuple(rseq)
+            best_cols = tuple(cseq)
+        if avail_rows == 0 or avail_cols == 0:
+            return
+        if depth + min(avail_rows.bit_count(), avail_cols.bit_count()) <= best_len:
+            return
+        # a state's achievable extension depth is fixed, so only a strictly
+        # deeper visit can improve on what was already explored
+        prev = seen.get((avail_rows, avail_cols))
+        if prev is not None and depth <= prev:
+            return
+        seen[(avail_rows, avail_cols)] = depth
+        for i in _iter_bits(avail_rows):
+            new_cols = avail_cols & le_by_row[i]
+            for j in _iter_bits(avail_cols):
+                nodes += 1
+                if nodes > budget:
+                    raise _BudgetHit
+                rseq.append(i)
+                cseq.append(j)
+                rec(
+                    avail_rows & ge_by_col[j] & ~(1 << i),
+                    new_cols & ~(1 << j),
+                    rseq,
+                    cseq,
+                )
+                rseq.pop()
+                cseq.pop()
 
-    def shatter_dim_search(low_by_col, high_by_col, n_rows, max_k, budget):
-        if n_rows > _LIMIT or len(low_by_col) > _LIMIT:
-            return _kernels_py.shatter_dim_search(low_by_col, high_by_col, n_rows, max_k, budget)
-        return _impl.shatter_dim_search(low_by_col, high_by_col, n_rows, max_k, budget)
+    exact = True
+    try:
+        rec((1 << n_rows) - 1, (1 << n_cols) - 1, [], [])
+    except _BudgetHit:
+        exact = False
+    return best_len, best_rows, best_cols, exact
 
-    def dk_count_free(low_by_row, high_by_row, members, k):
-        if len(low_by_row) and max(low_by_row + high_by_row).bit_length() > _LIMIT:
-            return _kernels_py.dk_count_free(low_by_row, high_by_row, members, k)
-        return _impl.dk_count_free(low_by_row, high_by_row, members, k)
 
-    def dk_count_distinct(low_by_row, high_by_row, members, k):
-        too_wide = len(low_by_row) and max(low_by_row + high_by_row).bit_length() > _LIMIT
-        if too_wide or len(members) > _LIMIT:
-            return _kernels_py.dk_count_distinct(low_by_row, high_by_row, members, k)
-        return _impl.dk_count_distinct(low_by_row, high_by_row, members, k)
+def clique_search(adj: list[int], budget: int):
+    """Largest clique in a compatibility graph given as adjacency bitmasks.
+
+    Vertices are tried in ascending order; returns (size, vertices, exact).
+    """
+    n = len(adj)
+    best_size = 0
+    best: tuple[int, ...] = ()
+    nodes = 0
+
+    def rec(cand: int, chosen: list[int]):
+        nonlocal best_size, best, nodes
+        if len(chosen) > best_size:
+            best_size = len(chosen)
+            best = tuple(chosen)
+        if len(chosen) + cand.bit_count() <= best_size:
+            return
+        for v in _iter_bits(cand):
+            nodes += 1
+            if nodes > budget:
+                raise _BudgetHit
+            chosen.append(v)
+            higher = ~((1 << (v + 1)) - 1)
+            rec(cand & adj[v] & higher, chosen)
+            chosen.pop()
+
+    exact = True
+    try:
+        rec((1 << n) - 1, [])
+    except _BudgetHit:
+        exact = False
+    return best_size, best, exact
+
+
+def alternation_iii_search(values, eps: float, n_rows: int, n_cols: int, budget: int):
+    """Longest pair sequence under the middle-element column-gap condition.
+
+    Valid iff for all t < u < v: |values[i_u][j_t] - values[i_u][j_v]| >= eps,
+    with row and column indices each used at most once.
+    Returns (length, pairs, exact).
+    """
+    best_len = 0
+    best: tuple[tuple[int, int], ...] = ()
+    nodes = 0
+    max_depth = min(n_rows, n_cols)
+
+    def rec(pairs: list[tuple[int, int]], used_rows: int, used_cols: int):
+        nonlocal best_len, best, nodes
+        depth = len(pairs)
+        if depth > best_len:
+            best_len = depth
+            best = tuple(pairs)
+        if depth >= max_depth:
+            return
+        for i in range(n_rows):
+            if used_rows & (1 << i):
+                continue
+            for j in range(n_cols):
+                if used_cols & (1 << j):
+                    continue
+                nodes += 1
+                if nodes > budget:
+                    raise _BudgetHit
+                ok = True
+                for u in range(1, depth):
+                    row_u = values[pairs[u][0]]
+                    vju = row_u[j]
+                    for t in range(u):
+                        if abs(row_u[pairs[t][1]] - vju) < eps:
+                            ok = False
+                            break
+                    if not ok:
+                        break
+                if ok:
+                    pairs.append((i, j))
+                    rec(pairs, used_rows | (1 << i), used_cols | (1 << j))
+                    pairs.pop()
+
+    exact = True
+    try:
+        rec([], 0, 0)
+    except _BudgetHit:
+        exact = False
+    return best_len, best, exact
+
+
+def shatter_dim_search(
+    low_by_col: list[int], high_by_col: list[int], n_rows: int, max_k: int, budget: int
+):
+    """Largest shattered column set via anti-monotone DFS over column indices.
+
+    low_by_col[c] / high_by_col[c] are row bitmasks (rows <= s / rows >= r).
+    Returns (dim, cols, selector_masks, exact) where selector_masks[p] is
+    the nonempty row bitmask realizing pattern p (bit b of p <=> cols[b]
+    on the low side).
+    """
+    n_cols = len(low_by_col)
+    best_k = 0
+    best_cols: tuple[int, ...] = ()
+    best_masks: tuple[int, ...] = ()
+    nodes = 0
+
+    def rec(start: int, cols: list[int], masks: list[int]):
+        nonlocal best_k, best_cols, best_masks, nodes
+        k = len(cols)
+        if k > best_k:
+            best_k = k
+            best_cols = tuple(cols)
+            best_masks = tuple(masks)
+        if k >= max_k or k + (n_cols - start) <= best_k:
+            return
+        for c in range(start, n_cols):
+            nodes += 1
+            if nodes > budget:
+                raise _BudgetHit
+            lo, hi = low_by_col[c], high_by_col[c]
+            hi_masks = []
+            lo_masks = []
+            shattered = True
+            for m in masks:
+                a = m & hi
+                b = m & lo
+                if a == 0 or b == 0:
+                    shattered = False
+                    break
+                hi_masks.append(a)
+                lo_masks.append(b)
+            if shattered:
+                # the new column contributes the top pattern bit
+                cols.append(c)
+                rec(c + 1, cols, hi_masks + lo_masks)
+                cols.pop()
+
+    exact = True
+    try:
+        rec(0, [], [(1 << n_rows) - 1])
+    except _BudgetHit:
+        exact = False
+    return best_k, best_cols, best_masks, exact
+
+
+def dk_count_free(low_by_row: list[int], high_by_row: list[int], members: list[int], k: int):
+    """Exact count of alternating 2k-tuples over `members`, repeats allowed.
+
+    A tuple w realizes the pattern iff some column is <= s at every even
+    coordinate and >= r at every odd one; equivalently the intersection of
+    the per-coordinate column masks is nonempty.  Counted by dynamic
+    programming over intersection masks, so it scales with the number of
+    distinct masks rather than |E|^(2k).
+    """
+    states = {~0: 1}
+    for pos in range(2 * k):
+        masks = low_by_row if pos % 2 == 0 else high_by_row
+        new_states: dict[int, int] = {}
+        for mask, cnt in states.items():
+            for p in members:
+                m = mask & masks[p]
+                if m:
+                    new_states[m] = new_states.get(m, 0) + cnt
+        states = new_states
+        if not states:
+            return 0
+    return sum(states.values())
+
+
+def dk_count_distinct(low_by_row: list[int], high_by_row: list[int], members: list[int], k: int):
+    """Exact count of alternating 2k-tuples with pairwise distinct coordinates."""
+    total = 0
+
+    def rec(pos: int, mask: int, used: int):
+        nonlocal total
+        if pos == 2 * k:
+            total += 1
+            return
+        masks = low_by_row if pos % 2 == 0 else high_by_row
+        for idx, p in enumerate(members):
+            if used & (1 << idx):
+                continue
+            m = mask & masks[p]
+            if m:
+                rec(pos + 1, m, used | (1 << idx))
+
+    rec(0, ~0, 0)
+    return total

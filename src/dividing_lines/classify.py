@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -199,14 +198,6 @@ def classify(t: EvalTable, params: ClassifyParams = ClassifyParams()) -> Classif
     return ClassificationReport(table_digest(t), params, sections, tuple(errors))
 
 
-def _worker_count() -> int:
-    # DL_THREADS controls parallelism only; results never depend on it
-    try:
-        return max(1, int(os.environ.get("DL_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 @dataclass(frozen=True)
 class ScanSummary:
     trials: int
@@ -250,29 +241,16 @@ def dichotomy_scan(
     if trials < 0:
         raise ValueError("trials must be >= 0")
 
-    def one_trial(i: int):
+    long_ladder = 0
+    explained = 0
+    exceptions: list[dict] = []
+    digests = []
+    for i in range(trials):
         cfg_seed = [seed, i] if gen.kind == "random_table" else gen.seed
         table = generate(
             GeneratorConfig(**{**gen.__dict__, "seed": cfg_seed})
         )
         report = classify(table, params)
-        return table, report
-
-    results = []
-    workers = _worker_count()
-    if workers > 1 and trials > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one_trial, range(trials)))
-    else:
-        results = [one_trial(i) for i in range(trials)]
-
-    long_ladder = 0
-    explained = 0
-    exceptions: list[dict] = []
-    digests = []
-    for i, (table, report) in enumerate(results):
         v = report.sections["verdicts"]
         digests.append(
             f"trial={i} digest={report.table_digest[:16]} "

@@ -166,6 +166,14 @@ def transpose(t: EvalTable) -> EvalTable:
     )
 
 
+def bitmasks(flags) -> list[int]:
+    """One bitmask per row of a 2-d boolean array: bit q of mask i is set
+    iff flags[i, q].  The masks are Python ints, exact at any width; pass
+    `flags.T` for per-column masks."""
+    packed = np.packbits(flags, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
 def serialize(t: EvalTable) -> str:
     """Canonical JSON form; load_table round-trips it bit-exactly."""
     return json.dumps(t.to_dict(), sort_keys=True, separators=(",", ":"))

@@ -6,10 +6,8 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from . import backend
-from .core import EvalTable, ThresholdPair
+from .core import EvalTable, ThresholdPair, bitmasks
 from .errors import IndexOutOfRange, InvalidWitness, TooManyColumns
 from .op import DEFAULT_EXACT_LIMIT, LadderWitness
 
@@ -82,14 +80,6 @@ class ShatterDimResult:
     exact: bool
 
 
-def _col_masks(t: EvalTable, th: ThresholdPair):
-    low = t.entries <= th.s
-    high = t.entries >= th.r
-    low_by_col = [int(sum(1 << p for p in np.flatnonzero(low[:, c]))) for c in range(t.n_cols)]
-    high_by_col = [int(sum(1 << p for p in np.flatnonzero(high[:, c]))) for c in range(t.n_cols)]
-    return low_by_col, high_by_col
-
-
 def is_shattered(
     t: EvalTable, cols: Sequence[int], th: ThresholdPair
 ) -> ShatterWitness | None:
@@ -108,7 +98,8 @@ def is_shattered(
     for c in cols:
         if not (0 <= c < t.n_cols):
             raise IndexOutOfRange(f"col index {c} out of range")
-    low_by_col, high_by_col = _col_masks(t, th)
+    low_by_col = bitmasks((t.entries <= th.s).T)
+    high_by_col = bitmasks((t.entries >= th.r).T)
     full = (1 << t.n_rows) - 1
     selector = {}
     for pattern in range(1 << len(cols)):
@@ -130,7 +121,8 @@ def shattering_dimension(
     Distinct patterns need distinct selector rows, so the dimension is
     capped at floor(log2(n_rows)).
     """
-    low_by_col, high_by_col = _col_masks(t, th)
+    low_by_col = bitmasks((t.entries <= th.s).T)
+    high_by_col = bitmasks((t.entries >= th.r).T)
     max_k = min(int(math.log2(t.n_rows)) if t.n_rows > 1 else 0, MAX_SHATTER_COLS, t.n_cols)
     if max_k == 0:
         return ShatterDimResult(0, None, True)

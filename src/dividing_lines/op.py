@@ -9,7 +9,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from . import backend
-from .core import Epsilon, EvalTable, ThresholdPair
+from .core import Epsilon, EvalTable, ThresholdPair, bitmasks
 from .errors import IndexOutOfRange
 
 DEFAULT_EXACT_LIMIT = 10**6
@@ -150,15 +150,6 @@ class AlternationResult:
     exact: bool
 
 
-def _threshold_masks(t: EvalTable, th: ThresholdPair):
-    """Per-column row masks (rows >= r) and per-row column masks (cols <= s)."""
-    ge = t.entries >= th.r
-    le = t.entries <= th.s
-    ge_by_col = [int(sum(1 << p for p in np.flatnonzero(ge[:, j]))) for j in range(t.n_cols)]
-    le_by_row = [int(sum(1 << q for q in np.flatnonzero(le[i, :]))) for i in range(t.n_rows)]
-    return ge_by_col, le_by_row
-
-
 def max_ladder(
     t: EvalTable, th: ThresholdPair, exact_limit: int = DEFAULT_EXACT_LIMIT
 ) -> LadderResult:
@@ -168,7 +159,8 @@ def max_ladder(
     When the node budget `exact_limit` is exhausted the result is a sound
     lower bound flagged `exact=False`.
     """
-    ge_by_col, le_by_row = _threshold_masks(t, th)
+    ge_by_col = bitmasks((t.entries >= th.r).T)
+    le_by_row = bitmasks(t.entries <= th.s)
     length, rows, cols, exact = backend.ladder_search(ge_by_col, le_by_row, exact_limit)
     if length == 0:
         length, rows, cols = 1, (0,), (0,)

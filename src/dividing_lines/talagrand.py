@@ -10,7 +10,7 @@ from typing import Sequence
 import numpy as np
 
 from . import backend
-from .core import EvalTable, ThresholdPair
+from .core import EvalTable, ThresholdPair, bitmasks
 from .errors import BudgetExceeded, EmptySubset, IndexOutOfRange
 
 DEFAULT_TUPLE_BUDGET = 10**8
@@ -59,14 +59,6 @@ class DkReport:
         return d
 
 
-def _row_masks(t: EvalTable, th: ThresholdPair):
-    low = t.entries <= th.s
-    high = t.entries >= th.r
-    low_by_row = [int(sum(1 << c for c in np.flatnonzero(low[i, :]))) for i in range(t.n_rows)]
-    high_by_row = [int(sum(1 << c for c in np.flatnonzero(high[i, :]))) for i in range(t.n_rows)]
-    return low_by_row, high_by_row
-
-
 def _check_subset(t: EvalTable, E: Sequence[int]) -> tuple[int, ...]:
     members = tuple(sorted(set(int(i) for i in E)))
     if not members:
@@ -109,7 +101,8 @@ def dk_count(
         raise ValueError("k must be >= 1")
     members = _check_subset(t, E)
     n = len(members)
-    low_by_row, high_by_row = _row_masks(t, th)
+    low_by_row = bitmasks(t.entries <= th.s)
+    high_by_row = bitmasks(t.entries >= th.r)
     denominator = float(n) ** (2 * k)
     if distinct_coords and n < 2 * k:
         space = 0.0
@@ -210,8 +203,8 @@ def shattered_tuple_fraction(
     else:
         low = t.entries <= th.s
         high = t.entries >= th.r
-    low_by_row = [int(sum(1 << c for c in np.flatnonzero(low[i, :]))) for i in range(t.n_rows)]
-    high_by_row = [int(sum(1 << c for c in np.flatnonzero(high[i, :]))) for i in range(t.n_rows)]
+    low_by_row = bitmasks(low)
+    high_by_row = bitmasks(high)
 
     def tuple_shattered(coords) -> bool:
         for pattern in range(1 << n):

@@ -119,14 +119,6 @@ def test_dichotomy_scan_counts_consistent():
     assert len(s.exceptions) <= s.exception_count
 
 
-def test_dichotomy_scan_thread_invariance(monkeypatch):
-    cfg = GeneratorConfig(kind="random_table", n_rows=4, n_cols=4)
-    base = dichotomy_scan(cfg, trials=6, seed=2)
-    monkeypatch.setenv("DL_THREADS", "3")
-    threaded = dichotomy_scan(cfg, trials=6, seed=2)
-    assert base.to_json() == threaded.to_json()
-
-
 def test_dichotomy_scan_rejects_negative_trials():
     cfg = GeneratorConfig(kind="half_graph", n=3)
     with pytest.raises(ValueError):

@@ -14,6 +14,7 @@ from dividing_lines import (
     serialize,
     transpose,
 )
+from dividing_lines.core import bitmasks
 from dividing_lines.errors import (
     BoundViolation,
     EmptyTable,
@@ -140,3 +141,14 @@ def test_load_unknown_extension(tmp_path):
     p.write_text("0,1\n")
     with pytest.raises(ParseError):
         load_table(p)
+
+
+def test_bitmasks_match_definition_at_every_width():
+    # widths 1..130 cross the 32- and 64-bit boundaries; the transposed
+    # (non-contiguous) view is how callers build per-column masks
+    rng = np.random.default_rng(5)
+    for width in range(1, 131):
+        flags = rng.random((3, width)) < 0.5
+        flags[0, width - 1] = True
+        for m in (flags, flags.T):
+            assert bitmasks(m) == [sum(1 << int(q) for q in np.flatnonzero(row)) for row in m]

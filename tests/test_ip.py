@@ -23,7 +23,8 @@ TH = ThresholdPair(0.0, 1.0)
 
 
 def test_full_pattern_is_shattered():
-    for k in (1, 2, 3, 4):
+    # k = 5, 6, 7 give 32, 64 and 128 rows: masks cross the 32- and 64-bit widths
+    for k in (1, 2, 3, 4, 5, 6, 7):
         t = full_pattern(k)
         w = is_shattered(t, range(k), TH)
         assert w is not None

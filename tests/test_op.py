@@ -16,6 +16,7 @@ from dividing_lines import (
     iterated_means,
     max_ladder,
     stability_spectrum,
+    transpose,
 )
 
 TH = ThresholdPair(0.0, 1.0)
@@ -60,11 +61,26 @@ def test_ladder_witness_out_of_range():
 
 
 def test_ladder_half_graph():
-    for n in range(2, 7):
-        res = max_ladder(half_graph(n), TH)
+    cases = [(n, half_graph(n)) for n in range(2, 7)]
+    # masks across the 32- and 64-bit widths; transposed, because the search
+    # exhausts its budget on half_graph(n) itself from n = 63
+    cases += [(n, transpose(half_graph(n))) for n in (31, 32, 33, 63, 64, 65)]
+    for n, t in cases:
+        res = max_ladder(t, TH)
         assert res.length == n
         assert res.exact
-        assert res.witness.is_valid(half_graph(n))
+        assert res.witness.is_valid(t)
+
+
+def test_ladder_found_past_row_63(tbl):
+    # the only length-2 ladder uses rows 66 (low in col 1) and 67 (high in col 0)
+    rows = np.full((70, 2), 0.5)
+    rows[66, 1] = 0.0
+    rows[67, 0] = 1.0
+    t = tbl(rows, bound=1.0)
+    res = max_ladder(t, TH)
+    assert (res.length, res.exact) == (2, True)
+    assert res.witness.is_valid(t)
 
 
 def test_ladder_identity(tbl):

@@ -36,13 +36,27 @@ def test_single_column_closed_form():
 
 def test_dk_count_matches_oracle():
     rng = np.random.default_rng(9)
-    for _ in range(15):
-        t = EvalTable(rng.integers(0, 2, size=(5, 3)).astype(float), bound=1.0)
+    tables = [EvalTable(rng.integers(0, 2, size=(5, 3)).astype(float), bound=1.0)
+              for _ in range(15)]
+    # 70 columns: row masks past bit 63
+    tables += [random_table(4, 70, seed=[2, i]) for i in range(12)]
+    for t in tables:
         members = list(range(t.n_rows))
         for k in (1, 2):
             for distinct in (False, True):
                 rep = dk_count(t, members, k, TH, distinct_coords=distinct)
                 assert rep.count == orc.brute_dk_count(t, members, k, 0.0, 1.0, distinct)
+
+
+def _zeros_alternating_in_column_66() -> EvalTable:
+    entries = np.zeros((4, 70))
+    entries[:, 66] = [0.0, 1.0, 0.0, 1.0]
+    return EvalTable(entries, bound=1.0)
+
+
+def test_dk_count_sees_column_66():
+    t = _zeros_alternating_in_column_66()
+    assert dk_count(t, range(4), 1, TH).count == 4.0
 
 
 def test_dk_report_fields():
@@ -127,6 +141,13 @@ def test_shattered_tuple_fraction_oracle():
                 got = shattered_tuple_fraction(t, range(5), n, TH, strict=strict)
                 want = orc.brute_shattered_fraction(t, range(5), n, 0.0, 1.0, strict)
                 assert got == want
+
+
+def test_shattered_tuple_fraction_sees_column_66():
+    # thresholds strictly inside (0, 1), so strict and non-strict agree
+    t = _zeros_alternating_in_column_66()
+    for strict in (False, True):
+        assert shattered_tuple_fraction(t, [1, 3], 1, ThresholdPair(0.25, 0.75), strict=strict) == 1.0
 
 
 def test_shattered_tuple_fraction_duality():
