@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
 from . import ip, op, sop, talagrand
@@ -36,18 +36,7 @@ class ClassifyParams:
     tuple_budget: int = talagrand.DEFAULT_TUPLE_BUDGET
 
     def to_dict(self) -> dict:
-        return {
-            "s": self.s,
-            "r": self.r,
-            "eps": self.eps,
-            "min_ladder": self.min_ladder,
-            "min_ip_dim": self.min_ip_dim,
-            "min_chain": self.min_chain,
-            "exact_limit": self.exact_limit,
-            "k_max": self.k_max,
-            "distinct_coords": self.distinct_coords,
-            "tuple_budget": self.tuple_budget,
-        }
+        return asdict(self)
 
 
 def validate_witness(t: EvalTable, w: Witness):
@@ -247,9 +236,7 @@ def dichotomy_scan(
     digests = []
     for i in range(trials):
         cfg_seed = [seed, i] if gen.kind == "random_table" else gen.seed
-        table = generate(
-            GeneratorConfig(**{**gen.__dict__, "seed": cfg_seed})
-        )
+        table = generate(replace(gen, seed=cfg_seed))
         report = classify(table, params)
         v = report.sections["verdicts"]
         digests.append(

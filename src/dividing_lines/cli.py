@@ -10,10 +10,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__, definability, talagrand
-from .classify import ClassifyParams, ScanSummary, classify, validate_witness, witness_from_dict
+from .classify import ClassifyParams, classify, validate_witness, witness_from_dict
 from .classify import dichotomy_scan as run_dichotomy_scan
 from .core import EvalTable, ThresholdPair, load_table, serialize, transpose
 from .errors import BudgetExceeded, DividingLinesError, SearchBudgetExceeded
@@ -23,6 +24,9 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_BUDGET = 2
 EXIT_USAGE = 64
+
+# every analysis flag takes its default from here
+_DEFAULTS = ClassifyParams()
 
 
 class UsageError(Exception):
@@ -39,17 +43,20 @@ def _provenance(args: argparse.Namespace) -> dict:
     return {"tool": "dividing-lines", "version": __version__, "parameters": echo}
 
 
-def _emit(payload: dict, args: argparse.Namespace) -> None:
-    payload = {**payload, "provenance": _provenance(args)}
-    if getattr(args, "output", "json") == "text":
-        text = _render_text(payload)
-    else:
-        text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    out = getattr(args, "out", None)
+def _write(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text + "\n", encoding="utf-8")
     else:
         sys.stdout.write(text + "\n")
+
+
+def _emit(payload: dict, args: argparse.Namespace) -> None:
+    payload = {**payload, "provenance": _provenance(args)}
+    if args.output == "text":
+        text = _render_text(payload)
+    else:
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    _write(text, args.out)
 
 
 def _render_text(payload: dict, indent: int = 0) -> str:
@@ -69,11 +76,21 @@ def _load_input(args: argparse.Namespace) -> EvalTable:
     return load_table(Path(args.input), format=args.format)
 
 
-def _thresholds(args: argparse.Namespace) -> ThresholdPair:
-    try:
-        return ThresholdPair(args.s, args.r)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+def _classify_params(args: argparse.Namespace) -> ClassifyParams:
+    return replace(
+        _DEFAULTS, s=args.s, r=args.r, eps=args.eps, min_ladder=args.min_ladder,
+        min_ip_dim=args.min_ip_dim, min_chain=args.min_chain,
+        exact_limit=args.exact_limit, k_max=args.kmax,
+        distinct_coords=args.distinct_coords,
+    )
+
+
+def _generator_config(args: argparse.Namespace) -> GeneratorConfig:
+    return GeneratorConfig(
+        kind=args.kind, n=args.n, k=args.k, n_rows=args.rows, n_cols=args.cols,
+        value_model=args.model, p=args.p, bound=args.bound, seed=args.seed,
+        m=args.m, L=args.L,
+    )
 
 
 def _cmd_validate(args) -> int:
@@ -92,17 +109,8 @@ def _cmd_generate(args) -> int:
                 encoding="utf-8",
             )
     else:
-        cfg = GeneratorConfig(
-            kind=args.kind, n=args.n, k=args.k, n_rows=args.rows, n_cols=args.cols,
-            value_model=args.model, p=args.p, bound=args.bound, seed=args.seed,
-            m=args.m, L=args.L,
-        )
-        table = generate(cfg)
-    text = serialize(table)
-    if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
-    else:
-        sys.stdout.write(text + "\n")
+        table = generate(_generator_config(args))
+    _write(serialize(table), args.out)
     return EXIT_OK
 
 
@@ -121,21 +129,14 @@ def _cmd_analyze(args) -> int:
                     failures.append({"section": name, "violation": list(violation)})
         _emit({"revalidated": len(failures) == 0, "failures": failures}, args)
         return EXIT_OK if not failures else EXIT_INVALID
-    _thresholds(args)
-    params = ClassifyParams(
-        s=args.s, r=args.r, eps=args.eps, min_ladder=args.min_ladder,
-        min_ip_dim=args.min_ip_dim, min_chain=args.min_chain,
-        exact_limit=args.exact_limit, k_max=args.kmax,
-        distinct_coords=args.distinct_coords,
-    )
-    report = classify(t, params)
+    report = classify(t, _classify_params(args))
     _emit(report.to_dict(), args)
     return EXIT_OK
 
 
 def _cmd_talagrand(args) -> int:
     t = _load_input(args)
-    th = _thresholds(args)
+    th = ThresholdPair(args.s, args.r)
     if args.mc_samples:
         reports = [
             talagrand.dk_count(
@@ -154,17 +155,9 @@ def _cmd_talagrand(args) -> int:
 
 
 def _cmd_dichotomy_scan(args) -> int:
-    cfg = GeneratorConfig(
-        kind=args.kind, n=args.n, k=args.k, n_rows=args.rows, n_cols=args.cols,
-        value_model=args.model, p=args.p, bound=args.bound, m=args.m, L=args.L,
+    summary = run_dichotomy_scan(
+        _generator_config(args), args.trials, args.seed, _classify_params(args)
     )
-    params = ClassifyParams(
-        s=args.s, r=args.r, eps=args.eps, min_ladder=args.min_ladder,
-        min_ip_dim=args.min_ip_dim, min_chain=args.min_chain,
-        exact_limit=args.exact_limit, k_max=args.kmax,
-        distinct_coords=args.distinct_coords,
-    )
-    summary = run_dichotomy_scan(cfg, args.trials, args.seed, params)
     _emit(summary.to_dict(), args)
     return EXIT_OK
 
@@ -187,24 +180,31 @@ def _cmd_mazur(args) -> int:
     return EXIT_OK
 
 
+def _add_input(p: _Parser) -> None:
+    p.add_argument("--input", required=True)
+    p.add_argument("--format", choices=["csv", "json"], default=None)
+
+
 def _add_common_output(p: _Parser) -> None:
     p.add_argument("--out", default=None, help="write the report here instead of stdout")
     p.add_argument("--output", choices=["json", "text"], default="json")
 
 
-def _add_analysis_params(p: _Parser) -> None:
-    p.add_argument("--r", type=float, default=1.0)
-    p.add_argument("--s", type=float, default=0.0)
-    p.add_argument("--eps", type=float, default=1.0)
-    p.add_argument("--kmax", type=int, default=2)
-    p.add_argument("--exact-limit", type=int, default=10**6, dest="exact_limit")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mc-samples", type=int, default=0, dest="mc_samples")
+def _add_tuple_params(p: _Parser) -> None:
+    p.add_argument("--r", type=float, default=_DEFAULTS.r)
+    p.add_argument("--s", type=float, default=_DEFAULTS.s)
+    p.add_argument("--kmax", type=int, default=_DEFAULTS.k_max)
     p.add_argument("--distinct-coords", action=argparse.BooleanOptionalAction,
-                   default=True, dest="distinct_coords")
-    p.add_argument("--min-ladder", type=int, default=4, dest="min_ladder")
-    p.add_argument("--min-ip-dim", type=int, default=2, dest="min_ip_dim")
-    p.add_argument("--min-chain", type=int, default=3, dest="min_chain")
+                   default=_DEFAULTS.distinct_coords)
+
+
+def _add_classify_params(p: _Parser) -> None:
+    _add_tuple_params(p)
+    p.add_argument("--eps", type=float, default=_DEFAULTS.eps)
+    p.add_argument("--exact-limit", type=int, default=_DEFAULTS.exact_limit)
+    p.add_argument("--min-ladder", type=int, default=_DEFAULTS.min_ladder)
+    p.add_argument("--min-ip-dim", type=int, default=_DEFAULTS.min_ip_dim)
+    p.add_argument("--min-chain", type=int, default=_DEFAULTS.min_chain)
 
 
 def _add_generator_params(p: _Parser) -> None:
@@ -217,6 +217,7 @@ def _add_generator_params(p: _Parser) -> None:
     p.add_argument("--model", default="bernoulli", choices=["bernoulli", "uniform"])
     p.add_argument("--p", type=float, default=0.5)
     p.add_argument("--bound", type=float, default=1.0)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--L", type=int, default=None)
 
@@ -225,40 +226,39 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="dividing-lines")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("validate", parents=[], help="validate a table file")
-    p.add_argument("--input", required=True)
-    p.add_argument("--format", choices=["csv", "json"], default=None)
+    p = sub.add_parser("validate", help="validate a table file")
+    _add_input(p)
     _add_common_output(p)
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("analyze", help="run all detectors on a table")
-    p.add_argument("--input", required=True)
-    p.add_argument("--format", choices=["csv", "json"], default=None)
-    p.add_argument("--validate-report", default=None, dest="validate_report",
+    _add_input(p)
+    p.add_argument("--validate-report", default=None,
                    help="revalidate the witnesses of an existing report")
-    _add_analysis_params(p)
+    _add_classify_params(p)
     _add_common_output(p)
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("generate", help="emit a corpus table")
     _add_generator_params(p)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
-    p.add_argument("--target-out", default=None, dest="target_out",
+    p.add_argument("--target-out", default=None,
                    help="cantor_example: write the limit target vector here")
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("talagrand", help="per-k alternating-tuple reports")
-    p.add_argument("--input", required=True)
-    p.add_argument("--format", choices=["csv", "json"], default=None)
-    _add_analysis_params(p)
+    _add_input(p)
+    _add_tuple_params(p)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--mc-samples", type=int, default=0,
+                   help="Monte Carlo samples per k; 0 counts exactly")
     _add_common_output(p)
     p.set_defaults(func=_cmd_talagrand)
 
     p = sub.add_parser("dichotomy-scan", help="empirical stable<=>NIP+NSOP scan")
     _add_generator_params(p)
     p.add_argument("--trials", type=int, required=True)
-    _add_analysis_params(p)
+    _add_classify_params(p)
     _add_common_output(p)
     p.set_defaults(func=_cmd_dichotomy_scan)
 
@@ -274,25 +274,21 @@ def build_parser() -> _Parser:
 
 
 def run_cli(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        sys.stderr.write(f"usage error: {exc}\n")
-        return EXIT_USAGE
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        sys.stderr.write(f"usage error: {exc}\n")
-        return EXIT_USAGE
     except (BudgetExceeded, SearchBudgetExceeded) as exc:
         sys.stderr.write(
             json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n"
         )
         return EXIT_BUDGET
-    except (DividingLinesError, FileNotFoundError) as exc:
+    # JSONDecodeError subclasses ValueError, so it must be caught first
+    except (DividingLinesError, FileNotFoundError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"{type(exc).__name__}: {exc}\n")
         return EXIT_INVALID
+    except (UsageError, ValueError) as exc:
+        sys.stderr.write(f"usage error: {exc}\n")
+        return EXIT_USAGE
 
 
 def main() -> None:

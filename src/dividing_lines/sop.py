@@ -96,9 +96,6 @@ class StrictChainResult:
     cols: tuple[int, ...]
     step_rows: tuple[int, ...]
 
-    def to_witnessless_dict(self) -> dict:
-        return {"m": self.m, "cols": list(self.cols), "step_rows": list(self.step_rows)}
-
 
 def preorder_psi(t: EvalTable) -> PreorderMatrix:
     """The truncated-difference pre-order matrix over columns."""

@@ -99,6 +99,8 @@ def dk_count(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    if mode == "mc" and samples < 1:
+        raise ValueError("samples must be >= 1")
     members = _check_subset(t, E)
     n = len(members)
     low_by_row = bitmasks(t.entries <= th.s)
@@ -193,6 +195,8 @@ def shattered_tuple_fraction(
     pattern is realized by some column (strict </> when `strict`)."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    if mode == "mc" and samples < 1:
+        raise ValueError("samples must be >= 1")
     members = _check_subset(t, E)
     size = len(members)
     if size < n:

@@ -4,7 +4,13 @@ import json
 
 import pytest
 
+from dividing_lines.classify import ClassifyParams
 from dividing_lines.cli import EXIT_BUDGET, EXIT_INVALID, EXIT_OK, EXIT_USAGE, run_cli
+
+OUTPUT = {"out", "output", "subcommand"}
+CLASSIFY_FLAGS = {"r", "s", "eps", "kmax", "exact_limit", "distinct_coords",
+                  "min_ladder", "min_ip_dim", "min_chain"}
+GENERATOR_FLAGS = {"kind", "n", "k", "rows", "cols", "model", "p", "bound", "seed", "m", "L"}
 
 
 def run(capsys, *argv):
@@ -147,3 +153,83 @@ def test_reports_byte_identical_across_runs(tmp_path, capsys):
         run(capsys, "analyze", "--input", str(table), "--out", str(report))
         outs.append((table.read_bytes(), report.read_bytes()))
     assert outs[0] == outs[1]
+
+
+@pytest.fixture
+def half_graph_file(tmp_path, capsys):
+    table = tmp_path / "t.json"
+    run(capsys, "generate", "--kind", "half_graph", "--n", "4", "--out", str(table))
+    return str(table)
+
+
+@pytest.mark.parametrize("subcommand, flag", [
+    ("talagrand", "--eps"),
+    ("talagrand", "--exact-limit"),
+    ("talagrand", "--min-ladder"),
+    ("talagrand", "--min-ip-dim"),
+    ("talagrand", "--min-chain"),
+    ("analyze", "--seed"),
+    ("analyze", "--mc-samples"),
+    ("dichotomy-scan", "--mc-samples"),
+])
+def test_unread_flags_are_rejected(half_graph_file, capsys, subcommand, flag):
+    if subcommand == "dichotomy-scan":
+        required = ["--kind", "half_graph", "--trials", "1"]
+    else:
+        required = ["--input", half_graph_file]
+    code, _, err = run(capsys, subcommand, *required, flag, "5")
+    assert code == EXIT_USAGE
+    assert err.startswith("usage error: unrecognized arguments: ") and flag in err
+
+
+@pytest.mark.parametrize("argv, flags", [
+    (["analyze"], {"input", "format", "validate_report"} | CLASSIFY_FLAGS),
+    (["talagrand"], {"input", "format", "r", "s", "kmax", "distinct_coords", "seed",
+                     "mc_samples"}),
+    (["dichotomy-scan", "--kind", "half_graph", "--trials", "1"],
+     GENERATOR_FLAGS | CLASSIFY_FLAGS | {"trials"}),
+], ids=["analyze", "talagrand", "dichotomy-scan"])
+def test_provenance_echoes_only_read_flags(half_graph_file, capsys, argv, flags):
+    if argv[0] != "dichotomy-scan":
+        argv = argv + ["--input", half_graph_file]
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert set(json.loads(out)["provenance"]["parameters"]) == flags | OUTPUT
+
+
+def test_analyze_defaults_are_classify_params(half_graph_file, capsys):
+    code, out, _ = run(capsys, "analyze", "--input", half_graph_file)
+    assert code == EXIT_OK
+    assert json.loads(out)["parameters"] == ClassifyParams().to_dict()
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--input", "TABLE", "--eps", "0"],
+    ["analyze", "--input", "TABLE", "--kmax", "0"],
+    ["talagrand", "--input", "TABLE", "--kmax", "0"],
+    ["talagrand", "--input", "TABLE", "--kmax", "1", "--mc-samples", "-5", "--seed", "1"],
+    ["dichotomy-scan", "--kind", "half_graph", "--trials", "1", "--s", "2", "--r", "1"],
+    ["dichotomy-scan", "--kind", "half_graph", "--trials", "-1"],
+    ["generate", "--kind", "random_table", "--p", "2"],
+], ids=["eps", "analyze-kmax", "talagrand-kmax", "mc-samples", "thresholds", "trials", "p"])
+def test_bad_parameter_values_are_usage_errors(half_graph_file, capsys, argv):
+    argv = [half_graph_file if a == "TABLE" else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert err.startswith("usage error:")
+    assert "Traceback" not in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("flag", ["--validate-report", "--target"])
+def test_malformed_json_is_invalid_input(half_graph_file, tmp_path, capsys, flag):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"target": [1.0,')
+    if flag == "--validate-report":
+        argv = ["analyze", "--input", half_graph_file, "--validate-report", str(bad)]
+    else:
+        argv = ["mazur", "--table", half_graph_file, "--cols", "1,2", "--target", str(bad)]
+    code, _, err = run(capsys, *argv)
+    assert code == EXIT_INVALID
+    assert err.startswith("JSONDecodeError: ")
+    assert err.count("\n") == 1 and "Traceback" not in err

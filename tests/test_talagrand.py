@@ -106,6 +106,17 @@ def test_dk_mc_requires_seed():
         dk_count(t, range(3), 1, TH, mode="mc")
 
 
+@pytest.mark.parametrize("samples", [0, -5])
+@pytest.mark.parametrize("count", [
+    lambda t, samples: dk_count(t, range(t.n_rows), 1, TH, mode="mc", seed=1, samples=samples),
+    lambda t, samples: shattered_tuple_fraction(
+        t, range(t.n_rows), 1, TH, mode="mc", seed=1, samples=samples),
+], ids=["dk_count", "shattered_tuple_fraction"])
+def test_mc_rejects_nonpositive_samples(count, samples):
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        count(half_graph(4), samples)
+
+
 def test_almost_nip_scan_constant():
     t = EvalTable(np.full((4, 2), 0.5), bound=1.0)
     k_min, reports = almost_nip_scan(t, range(4), TH, 2)
