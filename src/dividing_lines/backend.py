@@ -25,6 +25,10 @@ class _BudgetHit(Exception):
     pass
 
 
+class _Optimal(Exception):
+    pass
+
+
 def ladder_search(ge_by_col: list[int], le_by_row: list[int], budget: int):
     """Longest ladder (rows, cols) under precomputed feasibility masks.
 
@@ -117,53 +121,82 @@ def clique_search(adj: list[int], budget: int):
     return best_size, best, exact
 
 
-def alternation_iii_search(values, eps: float, n_rows: int, n_cols: int, budget: int):
+def alternation_iii_search(sep_by_col: list[list[int]], n_cols: int, budget: int):
     """Longest pair sequence under the middle-element column-gap condition.
 
-    Valid iff for all t < u < v: |values[i_u][j_t] - values[i_u][j_v]| >= eps,
-    with row and column indices each used at most once.
+    sep_by_col[j][i] = bitmask of cols c with |T[i][c] - T[i][j]| >= eps.
+    Valid iff for all t < u < v: bit j_v is set in sep_by_col[j_t][i_u],
+    with row and column indices each used at most once.  Each row tried
+    and each (i, j) extension tried counts as one node, so a row whose
+    extensions the bound cuts all at once still spends budget.
     Returns (length, pairs, exact).
     """
+    n_rows = len(sep_by_col[0])
     best_len = 0
     best: tuple[tuple[int, int], ...] = ()
     nodes = 0
     max_depth = min(n_rows, n_cols)
+    seen: set[int] = set()
 
-    def rec(pairs: list[tuple[int, int]], used_rows: int, used_cols: int):
+    def rec(
+        pairs: list[tuple[int, int]],
+        cand: int,
+        pend: list[int],
+        rows_left: tuple[int, ...],
+        used_rows: int,
+        used_cols: int,
+    ):
+        # cand = unused cols that every committed middle row allows next;
+        # pend[i] = cols row i allows after the committed cols, so a child
+        # (i, j) leaves cand & pend[i] & ~j and row masks pend & sep_by_col[j]
         nonlocal best_len, best, nodes
-        depth = len(pairs)
-        if depth > best_len:
-            best_len = depth
-            best = tuple(pairs)
-        if depth >= max_depth:
-            return
-        for i in range(n_rows):
-            if used_rows & (1 << i):
+        depth = len(pairs) + 1
+        free_rows = len(rows_left) - 1
+        cand_cols = list(_iter_bits(cand))
+        child_pend: dict[int, list[int]] = {}
+        for k, i in enumerate(rows_left):
+            # a child at `depth` can only matter if it, or its subtree,
+            # gets past best_len
+            slack = best_len - depth
+            if free_rows <= slack:
+                return
+            nodes += 1
+            if nodes > budget:
+                raise _BudgetHit
+            allowed = cand & pend[i]
+            if allowed.bit_count() <= slack:
                 continue
-            for j in range(n_cols):
-                if used_cols & (1 << j):
-                    continue
+            rows = used_rows | (1 << i)
+            next_rows = rows_left[:k] + rows_left[k + 1 :]
+            for j in cand_cols:
                 nodes += 1
                 if nodes > budget:
                     raise _BudgetHit
-                ok = True
-                for u in range(1, depth):
-                    row_u = values[pairs[u][0]]
-                    vju = row_u[j]
-                    for t in range(u):
-                        if abs(row_u[pairs[t][1]] - vju) < eps:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if ok:
-                    pairs.append((i, j))
-                    rec(pairs, used_rows | (1 << i), used_cols | (1 << j))
-                    pairs.pop()
+                pairs.append((i, j))
+                if depth > best_len:
+                    best_len = depth
+                    best = tuple(pairs)
+                    if best_len == max_depth:
+                        raise _Optimal
+                bit = 1 << j
+                next_cand = allowed & ~bit
+                if min(next_cand.bit_count(), free_rows) > best_len - depth:
+                    # the subtree depends on (next_cand, cols, rows) only, and
+                    # a state already visited has lifted best_len to its reach
+                    key = ((next_cand << n_cols | used_cols | bit) << n_rows) | rows
+                    if key not in seen:
+                        seen.add(key)
+                        cp = child_pend.get(j)
+                        if cp is None:
+                            cp = child_pend[j] = [p & m for p, m in zip(pend, sep_by_col[j])]
+                        rec(pairs, next_cand, cp, next_rows, rows, used_cols | bit)
+                pairs.pop()
 
     exact = True
     try:
-        rec([], 0, 0)
+        rec([], (1 << n_cols) - 1, [(1 << n_cols) - 1] * n_rows, tuple(range(n_rows)), 0, 0)
+    except _Optimal:
+        pass
     except _BudgetHit:
         exact = False
     return best_len, best, exact

@@ -9,7 +9,7 @@ from typing import Sequence
 
 from . import ip, op, sop, talagrand
 from .core import Epsilon, EvalTable, ThresholdPair, serialize, transpose
-from .errors import DividingLinesError, SearchBudgetExceeded
+from .errors import DividingLinesError, InvalidWitness, SearchBudgetExceeded
 from .generators import GeneratorConfig, generate
 from .op import AlternationWitness, LadderWitness
 from .ip import ShatterWitness
@@ -49,17 +49,26 @@ def validate_witness(t: EvalTable, w: Witness):
     return violation is None, violation
 
 
+_WITNESS_KINDS = {
+    "ladder": LadderWitness,
+    "alternation": AlternationWitness,
+    "shatter": ShatterWitness,
+    "chain": ChainWitness,
+}
+
+
 def witness_from_dict(d: dict) -> Witness:
+    """Rebuild a witness from its `to_dict` form; an unknown kind or a
+    missing or malformed field raises InvalidWitness."""
     kind = d.get("kind")
-    if kind == "ladder":
-        return LadderWitness.from_dict(d)
-    if kind == "alternation":
-        return AlternationWitness.from_dict(d)
-    if kind == "shatter":
-        return ShatterWitness.from_dict(d)
-    if kind == "chain":
-        return ChainWitness.from_dict(d)
-    raise ValueError(f"unknown witness kind {kind!r}")
+    if kind not in _WITNESS_KINDS:
+        raise InvalidWitness(f"unknown witness kind {kind!r}")
+    try:
+        return _WITNESS_KINDS[kind].from_dict(d)
+    except KeyError as exc:
+        raise InvalidWitness(f"{kind} witness lacks field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise InvalidWitness(f"malformed {kind} witness: {exc}") from exc
 
 
 def table_digest(t: EvalTable) -> str:

@@ -17,7 +17,7 @@ from . import __version__, definability, talagrand
 from .classify import ClassifyParams, classify, validate_witness, witness_from_dict
 from .classify import dichotomy_scan as run_dichotomy_scan
 from .core import EvalTable, ThresholdPair, load_table, serialize, transpose
-from .errors import BudgetExceeded, DividingLinesError, SearchBudgetExceeded
+from .errors import BudgetExceeded, DividingLinesError, ParseError, SearchBudgetExceeded
 from .generators import GeneratorConfig, cantor_example, generate
 
 EXIT_OK = 0
@@ -118,6 +118,8 @@ def _cmd_analyze(args) -> int:
     t = _load_input(args)
     if args.validate_report:
         report = json.loads(Path(args.validate_report).read_text(encoding="utf-8"))
+        if not isinstance(report, dict):
+            raise ParseError("a report must be a JSON object")
         failures = []
         for name, section in report.items():
             if isinstance(section, dict) and isinstance(section.get("witness"), dict):
@@ -283,7 +285,7 @@ def run_cli(argv: list[str] | None = None) -> int:
         )
         return EXIT_BUDGET
     # JSONDecodeError subclasses ValueError, so it must be caught first
-    except (DividingLinesError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (DividingLinesError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"{type(exc).__name__}: {exc}\n")
         return EXIT_INVALID
     except (UsageError, ValueError) as exc:

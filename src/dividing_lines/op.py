@@ -192,10 +192,9 @@ def alternation_rank(
             size, pairs = 1, ((0, 0),)
         return AlternationResult(size, AlternationWitness("ii", pairs, e), exact)
     if variant == "iii":
-        vals = t.entries.tolist()
-        length, pairs, exact = backend.alternation_iii_search(
-            vals, e.eps, t.n_rows, t.n_cols, exact_limit
-        )
+        vals = t.entries
+        sep_by_col = [bitmasks(np.abs(vals - vals[:, [j]]) >= e.eps) for j in range(t.n_cols)]
+        length, pairs, exact = backend.alternation_iii_search(sep_by_col, t.n_cols, exact_limit)
         if length == 0:
             length, pairs = 1, ((0, 0),)
         return AlternationResult(length, AlternationWitness("iii", tuple(pairs), e), exact)

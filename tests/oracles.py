@@ -94,6 +94,40 @@ def brute_alternation_iii(t, eps: float) -> int:
     return best
 
 
+def lexfirst_alternation_iii(t, eps: float) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """Rank and the first maximum-length valid sequence in ascending (i, j)
+    extension order, i.e. the lexicographically smallest one, found by
+    exhaustive search over every valid sequence."""
+    vals = t.entries
+    n_rows, n_cols = vals.shape
+    best: list[tuple[int, int]] = []
+
+    def valid(seq):
+        n = len(seq)
+        return all(
+            abs(vals[seq[u][0], seq[tt][1]] - vals[seq[u][0], seq[v][1]]) >= eps
+            for tt in range(n)
+            for u in range(tt + 1, n)
+            for v in range(u + 1, n)
+        )
+
+    def extend(seq):
+        nonlocal best
+        if len(seq) > len(best):
+            best = seq
+        for i in range(n_rows):
+            if any(i == i2 for i2, _ in seq):
+                continue
+            for j in range(n_cols):
+                if any(j == j2 for _, j2 in seq):
+                    continue
+                if valid(seq + [(i, j)]):
+                    extend(seq + [(i, j)])
+
+    extend([])
+    return len(best), tuple(best)
+
+
 def is_shattered_direct(t, cols, s: float, r: float) -> bool:
     """Every low/high pattern over `cols` realized by some row (direct scan)."""
     vals = t.entries

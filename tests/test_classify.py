@@ -20,6 +20,7 @@ from dividing_lines import (
     validate_witness,
     witness_from_dict,
 )
+from dividing_lines.errors import InvalidWitness
 
 SECTION_NAMES = (
     "ladder",
@@ -85,7 +86,7 @@ def test_witness_from_dict_kinds():
     assert witness_from_dict(w.to_dict()) == w
     c = ChainWitness((0, 1), (1, 0), Epsilon(0.5))
     assert witness_from_dict(c.to_dict()) == c
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidWitness):
         witness_from_dict({"kind": "sorcery"})
 
 

@@ -233,3 +233,22 @@ def test_malformed_json_is_invalid_input(half_graph_file, tmp_path, capsys, flag
     assert code == EXIT_INVALID
     assert err.startswith("JSONDecodeError: ")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("content", [
+    '{"ladder": {"witness": {"kind": "zzz"}}}',
+    "[1, 2]",
+    '{"ladder": {"witness": {"kind": "ladder"}}}',
+    None,
+], ids=["unknown-kind", "list", "missing-fields", "directory"])
+def test_bad_validate_report_is_invalid_input(half_graph_file, tmp_path, capsys, content):
+    report = tmp_path / "report"
+    if content is None:
+        report.mkdir()
+    else:
+        report.write_text(content)
+    argv = ["analyze", "--input", half_graph_file, "--validate-report", str(report)]
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_INVALID
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert out == ""

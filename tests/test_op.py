@@ -12,9 +12,11 @@ from dividing_lines import (
     LadderWitness,
     ThresholdPair,
     alternation_rank,
+    full_pattern,
     half_graph,
     iterated_means,
     max_ladder,
+    random_table,
     stability_spectrum,
     transpose,
 )
@@ -157,6 +159,66 @@ def test_alternation_witnesses_validate(tbl):
             res = alternation_rank(t, E1, variant)
             assert res.witness.is_valid(t)
             assert res.witness.length == res.rank
+
+
+def test_alternation_iii_witness_is_lexfirst():
+    # an exact search returns the first maximum-length sequence in
+    # ascending (i, j) order, the witness the frozen report digests carry
+    for seed in range(330):
+        rng = np.random.default_rng([seed, 4])
+        n_rows = int(rng.integers(1, 6))
+        n_cols = int(rng.integers(1, 20 // n_rows + 1))
+        if seed % 3 == 2:
+            t = EvalTable(rng.uniform(-1.0, 1.0, size=(n_rows, n_cols)), bound=1.0)
+            eps = 0.4
+        else:
+            t = EvalTable(rng.integers(0, 2, size=(n_rows, n_cols)).astype(float), bound=1.0)
+            eps = (0.5, 1.0)[seed % 3]
+        res = alternation_rank(t, Epsilon(eps), "iii")
+        rank, pairs = orc.lexfirst_alternation_iii(t, eps)
+        assert res.exact, seed
+        assert (res.rank, res.witness.pairs) == (rank, pairs), seed
+
+
+@pytest.mark.parametrize("t, rank", [(half_graph(8), 8), (full_pattern(5), 5)])
+def test_alternation_iii_closed_forms_exact(t, rank):
+    res = alternation_rank(t, E1, "iii")
+    assert (res.rank, res.exact) == (rank, True)
+    assert res.witness.is_valid(t)
+
+
+@pytest.mark.parametrize("model, eps", [("bernoulli", 1.0), ("uniform", 0.4)])
+def test_alternation_iii_random_8x8_exact(model, eps):
+    for seed in range(3):
+        t = random_table(8, 8, model, seed=[seed, 8])
+        res = alternation_rank(t, Epsilon(eps), "iii")
+        assert res.exact, seed
+        assert res.witness.is_valid(t) and res.witness.length == res.rank
+
+
+def test_alternation_iii_budget_stop():
+    t = random_table(16, 16, "uniform", seed=16)
+    res = alternation_rank(t, Epsilon(0.4), "iii", exact_limit=10_000)
+    assert not res.exact
+    assert res.witness.is_valid(t) and res.witness.length == res.rank >= 2
+
+
+def test_alternation_iii_past_64_cols():
+    # only row 1 separates two columns, and only through column 66
+    t = np.zeros((3, 70))
+    t[1, 66] = 1.0
+    t = EvalTable(t, bound=1.0)
+    res = alternation_rank(t, E1, "iii")
+    assert (res.rank, res.exact) == (3, True)
+    assert res.witness.is_valid(t)
+    assert 66 in (j for _, j in res.witness.pairs)
+
+    # transposed, the middle row must be row 66
+    tt = transpose(t)
+    res = alternation_rank(tt, E1, "iii")
+    assert (res.rank, res.exact) == (3, True)
+    assert res.witness.is_valid(tt)
+    assert res.witness.pairs[1][0] == 66
 
 
 def test_stability_spectrum_half_graph():
