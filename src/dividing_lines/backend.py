@@ -257,18 +257,20 @@ def shatter_dim_search(
     return best_k, best_cols, best_masks, exact
 
 
-def dk_count_free(low_by_row: list[int], high_by_row: list[int], members: list[int], k: int):
-    """Exact count of alternating 2k-tuples over `members`, repeats allowed.
+def dk_count_free(
+    low_by_row: list[int], high_by_row: list[int], members: list[int], a: int, b: int
+):
+    """Exact count of sequences of `a` low rows and `b` high rows from
+    `members`, repeats allowed, whose column masks still intersect.
 
-    A tuple w realizes the pattern iff some column is <= s at every even
-    coordinate and >= r at every odd one; equivalently the intersection of
-    the per-coordinate column masks is nonempty.  Counted by dynamic
-    programming over intersection masks, so it scales with the number of
-    distinct masks rather than |E|^(2k).
+    With a = b = k this counts the alternating 2k-tuples: a tuple w realizes
+    the pattern iff some column is <= s at every even coordinate and >= r at
+    every odd one.  AND commutes, so the low steps run first.  Counted by
+    dynamic programming over intersection masks, so it scales with the
+    number of distinct masks rather than |E|^(a+b).
     """
     states = {~0: 1}
-    for pos in range(2 * k):
-        masks = low_by_row if pos % 2 == 0 else high_by_row
+    for masks in [low_by_row] * a + [high_by_row] * b:
         new_states: dict[int, int] = {}
         for mask, cnt in states.items():
             for p in members:
@@ -281,22 +283,33 @@ def dk_count_free(low_by_row: list[int], high_by_row: list[int], members: list[i
     return sum(states.values())
 
 
+def _stirling1_row(k: int) -> list[int]:
+    """Signed Stirling numbers of the first kind s(k, 0..k): the
+    coefficients of the falling factorial x(x-1)...(x-k+1)."""
+    row = [1]
+    for n in range(k):
+        row = [0] + row
+        for a in range(len(row) - 1):
+            row[a] -= n * row[a + 1]
+    return row
+
+
 def dk_count_distinct(low_by_row: list[int], high_by_row: list[int], members: list[int], k: int):
-    """Exact count of alternating 2k-tuples with pairwise distinct coordinates."""
-    total = 0
+    """Exact count of alternating 2k-tuples with pairwise distinct coordinates.
 
-    def rec(pos: int, mask: int, used: int):
-        nonlocal total
-        if pos == 2 * k:
-            total += 1
-            return
-        masks = low_by_row if pos % 2 == 0 else high_by_row
-        for idx, p in enumerate(members):
-            if used & (1 << idx):
-                continue
-            m = mask & masks[p]
-            if m:
-                rec(pos + 1, m, used | (1 << idx))
+    Mobius inversion on the lattice of set partitions of the 2k coordinates
+    (Rota 1964) gives
 
-    rec(0, ~0, 0)
-    return total
+        distinct(k) = sum_{a,b=1..k} s(k,a) * s(k,b) * dk_count_free(.., a, b)
+
+    with s the signed Stirling numbers of the first kind.  A partition block
+    holding an even and an odd coordinate would put one row on both sides,
+    so the identity needs `low_by_row[p] & high_by_row[p] == 0` for every
+    member p, which holds whenever s < r.
+    """
+    s = _stirling1_row(k)
+    return sum(
+        s[a] * s[b] * dk_count_free(low_by_row, high_by_row, members, a, b)
+        for a in range(1, k + 1)
+        for b in range(1, k + 1)
+    )

@@ -168,8 +168,11 @@ def _cmd_mazur(args) -> int:
     t = load_table(Path(args.table))
     cols = [int(c) for c in args.cols.split(",") if c.strip() != ""]
     target_doc = json.loads(Path(args.target).read_text(encoding="utf-8"))
-    target = target_doc["target"] if isinstance(target_doc, dict) else target_doc
-    approx = definability.mazur_approximate(t, cols, target, tol=args.tol)
+    if isinstance(target_doc, dict):
+        if "target" not in target_doc:
+            raise ParseError('a target JSON object must have a "target" key')
+        target_doc = target_doc["target"]
+    approx = definability.mazur_approximate(t, cols, target_doc, tol=args.tol)
     _emit(
         {
             "candidate_cols": list(approx.candidate_cols),

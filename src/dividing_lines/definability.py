@@ -9,7 +9,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .core import EvalTable
-from .errors import EmptySelection, IndexOutOfRange, SolverFailure
+from .errors import BoundViolation, EmptySelection, IndexOutOfRange, SolverFailure
 
 
 @dataclass(frozen=True)
@@ -60,6 +60,8 @@ def mazur_approximate(
     target = np.asarray(target, dtype=np.float64)
     if target.shape != (t.n_rows,):
         raise ValueError("target length must equal n_rows")
+    if not np.all(np.isfinite(target)):
+        raise BoundViolation("target entries must be finite")
     if not (tol > 0):
         raise ValueError("tol must be positive")
     A = t.entries[:, cols]

@@ -3,7 +3,9 @@ alternating-tuple counting, the stability scan over k, and the
 shattered-tuple fraction."""
 from __future__ import annotations
 
+import itertools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -93,9 +95,11 @@ def dk_count(
     even and >= r at odd coordinates (pairwise-distinct coordinates when
     `distinct_coords`).
 
-    Exact mode requires |E|^(2k) <= budget.  mc mode draws `samples`
-    seeded uniform tuples (rejection sampling when distinct) and returns
-    an unbiased count estimate with its standard error.
+    Exact mode requires |E|^(2k) <= budget (BudgetExceeded otherwise).
+    mc mode draws `samples` seeded uniform tuples (rejection sampling when
+    distinct) and returns an unbiased count estimate with its standard
+    error.  Both modes raise ValueError when |E|^(2k) exceeds the float
+    range, since the report holds it as a float.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -105,23 +109,22 @@ def dk_count(
     n = len(members)
     low_by_row = bitmasks(t.entries <= th.s)
     high_by_row = bitmasks(t.entries >= th.r)
-    denominator = float(n) ** (2 * k)
-    if distinct_coords and n < 2 * k:
-        space = 0.0
-    elif distinct_coords:
-        space = float(math.perm(n, 2 * k))
-    else:
-        space = denominator
+    tuples = n ** (2 * k)
+    if mode == "exact" and tuples > budget:
+        # classify reports carry this message, so keep its float form where one exists
+        shown = float(tuples) if tuples <= sys.float_info.max else f"{n}^{2 * k}"
+        raise BudgetExceeded(f"|E|^(2k) = {shown} exceeds budget {budget}")
+    if tuples > sys.float_info.max:
+        raise ValueError(f"|E|^(2k) = {n}^{2 * k} exceeds the float limit {sys.float_info.max}")
+    denominator = float(tuples)
+    space = float(math.perm(n, 2 * k)) if distinct_coords else denominator
 
     if mode == "exact":
-        if denominator > budget:
-            raise BudgetExceeded(f"|E|^(2k) = {denominator} exceeds budget {budget}")
-        if space == 0.0:
-            count: float = 0.0
-        elif distinct_coords:
-            count = float(backend.dk_count_distinct(low_by_row, high_by_row, list(members), k))
+        rows = list(members)
+        if distinct_coords:
+            count: float = float(backend.dk_count_distinct(low_by_row, high_by_row, rows, k))
         else:
-            count = float(backend.dk_count_free(low_by_row, high_by_row, list(members), k))
+            count = float(backend.dk_count_free(low_by_row, high_by_row, rows, k, k))
         std_error = None
     elif mode == "mc":
         if seed is None:
@@ -219,14 +222,12 @@ def shattered_tuple_fraction(
                     return False
         return True
 
-    total_space = float(math.perm(size, n))
     if mode == "exact":
-        if float(size) ** n > budget:
-            raise BudgetExceeded(f"|E|^n = {float(size) ** n} exceeds budget {budget}")
-        import itertools
-
-        hits = sum(1 for coords in itertools.permutations(members, n) if tuple_shattered(coords))
-        return hits / total_space
+        if size**n > budget:
+            raise BudgetExceeded(f"|E|^n = {size}^{n} exceeds budget {budget}")
+        # being shattered does not depend on coordinate order
+        hits = sum(1 for coords in itertools.combinations(members, n) if tuple_shattered(coords))
+        return hits / math.comb(size, n)
     if mode == "mc":
         if seed is None:
             raise ValueError("mc mode requires a seed")

@@ -208,16 +208,18 @@ def test_analyze_defaults_are_classify_params(half_graph_file, capsys):
     ["analyze", "--input", "TABLE", "--kmax", "0"],
     ["talagrand", "--input", "TABLE", "--kmax", "0"],
     ["talagrand", "--input", "TABLE", "--kmax", "1", "--mc-samples", "-5", "--seed", "1"],
+    ["talagrand", "--input", "TABLE", "--mc-samples", "10", "--kmax", "400"],
     ["dichotomy-scan", "--kind", "half_graph", "--trials", "1", "--s", "2", "--r", "1"],
     ["dichotomy-scan", "--kind", "half_graph", "--trials", "-1"],
     ["generate", "--kind", "random_table", "--p", "2"],
-], ids=["eps", "analyze-kmax", "talagrand-kmax", "mc-samples", "thresholds", "trials", "p"])
+], ids=["eps", "analyze-kmax", "talagrand-kmax", "mc-samples", "mc-kmax-past-float",
+        "thresholds", "trials", "p"])
 def test_bad_parameter_values_are_usage_errors(half_graph_file, capsys, argv):
     argv = [half_graph_file if a == "TABLE" else a for a in argv]
     code, out, err = run(capsys, *argv)
     assert code == EXIT_USAGE
     assert err.startswith("usage error:")
-    assert "Traceback" not in err
+    assert err.count("\n") == 1 and "Traceback" not in err
     assert out == ""
 
 
@@ -250,5 +252,21 @@ def test_bad_validate_report_is_invalid_input(half_graph_file, tmp_path, capsys,
     argv = ["analyze", "--input", half_graph_file, "--validate-report", str(report)]
     code, out, err = run(capsys, *argv)
     assert code == EXIT_INVALID
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("content, error", [
+    ('{"values": [1.0, 1.0, 1.0, 0.0]}', "ParseError"),
+    ("[1.0, NaN, 1.0, 0.0]", "BoundViolation"),
+    ('{"target": [1.0, 1.0, Infinity, 0.0]}', "BoundViolation"),
+], ids=["no-target-key", "nan", "infinity"])
+def test_bad_mazur_target_is_invalid_input(half_graph_file, tmp_path, capsys, content, error):
+    target = tmp_path / "tgt.json"
+    target.write_text(content)
+    argv = ["mazur", "--table", half_graph_file, "--cols", "1,2,3", "--target", str(target)]
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_INVALID
+    assert err.startswith(f"{error}: ")
     assert err.count("\n") == 1 and "Traceback" not in err
     assert out == ""

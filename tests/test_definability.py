@@ -5,7 +5,7 @@ import pytest
 
 import oracles as orc
 from dividing_lines import cesaro_column, half_graph, mazur_approximate, random_table
-from dividing_lines.errors import EmptySelection, IndexOutOfRange
+from dividing_lines.errors import BoundViolation, EmptySelection, IndexOutOfRange
 
 
 def test_cesaro_column_mean():
@@ -94,3 +94,6 @@ def test_mazur_validation():
         mazur_approximate(t, [0], np.zeros(3))
     with pytest.raises(ValueError):
         mazur_approximate(t, [0], np.zeros(4), tol=0.0)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(BoundViolation, match="target entries must be finite"):
+            mazur_approximate(t, [0], [0.0, bad, 0.0, 0.0])

@@ -24,14 +24,33 @@ TH = ThresholdPair(0.0, 1.0)
 
 def test_single_column_closed_form():
     rng = np.random.default_rng(2)
-    for _ in range(25):
-        col = rng.integers(0, 2, size=rng.integers(2, 9)).astype(float)
+    cols = [rng.integers(0, 2, size=rng.integers(2, 9)).astype(float) for _ in range(25)]
+    # boundary sizes past 64 rows
+    cols += [rng.integers(0, 2, size=n).astype(float) for n in (70, 130)]
+    for col in cols:
         t = EvalTable(col[:, None], bound=1.0)
         low = int((col <= 0).sum())
         high = int((col >= 1).sum())
         for k in (1, 2, 3):
-            rep = dk_count(t, range(t.n_rows), k, TH, distinct_coords=False)
+            rep = dk_count(t, range(t.n_rows), k, TH, distinct_coords=False, budget=10**13)
             assert rep.count == (low * high) ** k
+            rep = dk_count(t, range(t.n_rows), k, TH, distinct_coords=True, budget=10**13)
+            assert rep.count == math.perm(low, k) * math.perm(high, k)
+
+
+@pytest.mark.parametrize("n", [31, 32, 33, 63, 64, 65, 128])
+def test_half_graph_distinct_closed_form(n):
+    # a tuple alternates exactly when every high-side row is below every
+    # low-side row, so each 2k-subset of rows gives (k!)^2 tuples
+    t = half_graph(n)
+    for k in (1, 2, 3):
+        rep = dk_count(t, range(n), k, TH, distinct_coords=True, budget=10**13)
+        assert rep.count == math.comb(n, 2 * k) * math.factorial(k) ** 2
+
+
+def test_full_pattern_distinct_count_frozen():
+    # frozen from the injective-tuple enumeration this count replaced
+    assert dk_count(full_pattern(6), range(64), 2, TH).count == 5_100_968
 
 
 def test_dk_count_matches_oracle():
@@ -40,9 +59,11 @@ def test_dk_count_matches_oracle():
               for _ in range(15)]
     # 70 columns: row masks past bit 63
     tables += [random_table(4, 70, seed=[2, i]) for i in range(12)]
+    # six and seven rows: enough for nonzero distinct counts at k = 3
+    tables += [random_table(n, 4, seed=[3, n, i]) for n in (6, 7) for i in range(3)]
     for t in tables:
         members = list(range(t.n_rows))
-        for k in (1, 2):
+        for k in (1, 2, 3) if t.n_rows >= 6 else (1, 2):
             for distinct in (False, True):
                 rep = dk_count(t, members, k, TH, distinct_coords=distinct)
                 assert rep.count == orc.brute_dk_count(t, members, k, 0.0, 1.0, distinct)
@@ -70,9 +91,12 @@ def test_dk_report_fields():
 
 
 def test_dk_distinct_small_subset():
-    t = half_graph(3)
-    rep = dk_count(t, [0], 1, TH, distinct_coords=True)
-    assert rep.count == 0.0  # fewer members than coordinates
+    # fewer members than coordinates
+    for t, E, k in [(half_graph(3), [0], 1), (half_graph(3), range(3), 2),
+                    (full_pattern(3), range(5), 3)]:
+        assert dk_count(t, E, k, TH, distinct_coords=True).count == 0.0
+        mc = dk_count(t, E, k, TH, distinct_coords=True, mode="mc", seed=1, samples=10)
+        assert mc.count == 0.0
 
 
 def test_dk_subset_validation():
@@ -89,6 +113,22 @@ def test_dk_budget():
     t = random_table(30, 3, seed=0)
     with pytest.raises(BudgetExceeded):
         dk_count(t, range(30), 3, TH, budget=10**4)
+
+
+def test_tuple_space_past_float_range():
+    # 4^800 and 300^150 are past the largest float
+    t = half_graph(4)
+    with pytest.raises(BudgetExceeded):
+        dk_count(t, range(4), 400, TH)
+    for kwargs in ({"budget": 10**500}, {"mode": "mc", "seed": 1, "samples": 10}):
+        with pytest.raises(ValueError, match="float limit"):
+            dk_count(t, range(4), 400, TH, **kwargs)
+    wide = random_table(300, 2, seed=0)
+    with pytest.raises(BudgetExceeded):
+        shattered_tuple_fraction(wide, range(300), 150, TH)
+    # the estimate is hits / samples, so the size of the tuple space never enters
+    assert shattered_tuple_fraction(wide, range(300), 150, TH, mode="mc", seed=1,
+                                    samples=10) == 0.0
 
 
 def test_dk_mc_reproducible_and_close():
