@@ -13,11 +13,19 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__, definability, talagrand
 from .classify import ClassifyParams, classify, validate_witness, witness_from_dict
 from .classify import dichotomy_scan as run_dichotomy_scan
 from .core import EvalTable, ThresholdPair, load_table, serialize, transpose
-from .errors import BudgetExceeded, DividingLinesError, ParseError, SearchBudgetExceeded
+from .errors import (
+    BudgetExceeded,
+    DividingLinesError,
+    ParseError,
+    SearchBudgetExceeded,
+    ShapeMismatch,
+)
 from .generators import GeneratorConfig, cantor_example, generate
 
 EXIT_OK = 0
@@ -172,7 +180,14 @@ def _cmd_mazur(args) -> int:
         if "target" not in target_doc:
             raise ParseError('a target JSON object must have a "target" key')
         target_doc = target_doc["target"]
-    approx = definability.mazur_approximate(t, cols, target_doc, tol=args.tol)
+    # a bad target file is bad input (exit 1), not bad usage
+    try:
+        target = np.asarray(target_doc, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"target must be a list of numbers: {exc}") from exc
+    if target.shape != (t.n_rows,):
+        raise ShapeMismatch(f"target must be a list of n_rows = {t.n_rows} numbers")
+    approx = definability.mazur_approximate(t, cols, target, tol=args.tol)
     _emit(
         {
             "candidate_cols": list(approx.candidate_cols),

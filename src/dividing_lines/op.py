@@ -167,6 +167,23 @@ def max_ladder(
     return LadderResult(length, LadderWitness(rows, cols, th), exact)
 
 
+def alternation_ii_adjacency(t: EvalTable, e: Epsilon) -> list[int]:
+    """Compatibility graph of alternation ii on the cells (i, j), numbered
+    v = i * n_cols + j: bit u of mask v is set iff the cells share no row or
+    column and |T[i1][j2] - T[i2][j1]| >= eps.  Built one row i1 at a time,
+    so memory stays O(n_rows * n_cols^2)."""
+    vals = t.entries
+    cols = np.arange(t.n_cols)
+    adj = []
+    for i1 in range(t.n_rows):
+        # flags[j1, i2, j2] = |T[i1][j2] - T[i2][j1]| >= eps
+        flags = np.abs(vals[i1][None, None, :] - vals.T[:, :, None]) >= e.eps
+        flags[:, i1, :] = False
+        flags[cols, :, cols] = False
+        adj += bitmasks(flags.reshape(t.n_cols, -1))
+    return adj
+
+
 def alternation_rank(
     t: EvalTable,
     e: Epsilon,
@@ -175,17 +192,7 @@ def alternation_rank(
 ) -> AlternationResult:
     """Maximum length of a valid alternation witness of the given variant."""
     if variant == "ii":
-        n_pairs = t.n_rows * t.n_cols
-        vals = t.entries
-        adj = []
-        for v in range(n_pairs):
-            i1, j1 = divmod(v, t.n_cols)
-            m = 0
-            for u in range(n_pairs):
-                i2, j2 = divmod(u, t.n_cols)
-                if i2 != i1 and j2 != j1 and abs(vals[i1, j2] - vals[i2, j1]) >= e.eps:
-                    m |= 1 << u
-            adj.append(m)
+        adj = alternation_ii_adjacency(t, e)
         size, verts, exact = backend.clique_search(adj, exact_limit)
         pairs = tuple(divmod(v, t.n_cols) for v in verts)
         if size == 0:
@@ -206,20 +213,43 @@ def stability_spectrum(
 ) -> list[tuple[int, float | None]]:
     """For each ladder length l in 2..max_len, the widest gap r - s over
     threshold pairs drawn from the table's distinct entry values that still
-    admit a ladder of length l; None when no such pair exists."""
+    admit a ladder of length l; None when no such pair exists.
+
+    With values sorted, the ladder length at (values[a], values[b]) never
+    falls as a rises and never rises as b rises, so for each l the largest
+    feasible b is nondecreasing in a.  One downward staircase walk per l
+    (saddleback search) finds it for every a, and lengths are memoized by
+    (a, b), so the function makes O(V * max_len) `max_ladder` calls for V
+    distinct values rather than V(V-1)/2.  Every reported gap is attained
+    by a ladder that exists, so it is a sound lower bound even when a call
+    exhausts `exact_limit`; it equals the all-pairs maximum whenever every
+    ladder call is exact.
+    """
     if max_len < 2:
         raise ValueError("max_len must be >= 2")
     values = sorted(set(t.entries.ravel().tolist()))
-    best_gap: dict[int, float] = {}
-    for a in range(len(values)):
-        for b in range(a + 1, len(values)):
-            s, r = values[a], values[b]
-            res = max_ladder(t, ThresholdPair(s, r), exact_limit)
-            for length in range(2, min(res.length, max_len) + 1):
-                gap = r - s
-                if gap > best_gap.get(length, -math.inf):
-                    best_gap[length] = gap
-    return [(length, best_gap.get(length)) for length in range(2, max_len + 1)]
+    lengths: dict[tuple[int, int], int] = {}
+
+    def ladder_length(a: int, b: int) -> int:
+        if (a, b) not in lengths:
+            th = ThresholdPair(values[a], values[b])
+            lengths[a, b] = max_ladder(t, th, exact_limit).length
+        return lengths[a, b]
+
+    spectrum = []
+    for length in range(2, max_len + 1):
+        best_gap = None
+        b = len(values) - 1
+        for a in range(len(values) - 2, -1, -1):
+            # pairs with b <= a are out of range, not infeasible: go on to a - 1
+            while b > a and ladder_length(a, b) < length:
+                b -= 1
+            if b > a:
+                gap = values[b] - values[a]
+                if best_gap is None or gap > best_gap:
+                    best_gap = gap
+        spectrum.append((length, best_gap))
+    return spectrum
 
 
 def iterated_means(

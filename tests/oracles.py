@@ -275,3 +275,25 @@ def grid_minimax(A: np.ndarray, target: np.ndarray, step: float = 1e-3) -> float
         raise ValueError("grid search supports at most 3 candidates")
     residuals = weights @ A.T - target[None, :]
     return float(np.min(np.max(np.abs(residuals), axis=1)))
+
+
+def allpairs_spectrum(t, max_len: int, exact_limit: int = 10**6) -> list[tuple[int, float | None]]:
+    """Stability spectrum by one `max_ladder` call on every pair of distinct
+    values, the scan the staircase walk replaced.  It checks the walk, not the
+    ladder search (that is `brute_max_ladder`'s job), so it uses the library's
+    `max_ladder` and asserts that every call is exact: only then is the
+    all-pairs value the true spectrum."""
+    from dividing_lines import ThresholdPair, max_ladder
+
+    values = sorted(set(t.entries.ravel().tolist()))
+    best_gap: dict[int, float] = {}
+    for a in range(len(values)):
+        for b in range(a + 1, len(values)):
+            s, r = values[a], values[b]
+            res = max_ladder(t, ThresholdPair(s, r), exact_limit)
+            assert res.exact, f"inexact ladder call at s={s}, r={r}"
+            for length in range(2, min(res.length, max_len) + 1):
+                gap = r - s
+                if gap > best_gap.get(length, -float("inf")):
+                    best_gap[length] = gap
+    return [(length, best_gap.get(length)) for length in range(2, max_len + 1)]

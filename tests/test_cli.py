@@ -260,7 +260,9 @@ def test_bad_validate_report_is_invalid_input(half_graph_file, tmp_path, capsys,
     ('{"values": [1.0, 1.0, 1.0, 0.0]}', "ParseError"),
     ("[1.0, NaN, 1.0, 0.0]", "BoundViolation"),
     ('{"target": [1.0, 1.0, Infinity, 0.0]}', "BoundViolation"),
-], ids=["no-target-key", "nan", "infinity"])
+    ('{"target": [1, 2]}', "ShapeMismatch"),
+    ('"abc"', "ParseError"),
+], ids=["no-target-key", "nan", "infinity", "wrong-length", "non-numeric"])
 def test_bad_mazur_target_is_invalid_input(half_graph_file, tmp_path, capsys, content, error):
     target = tmp_path / "tgt.json"
     target.write_text(content)

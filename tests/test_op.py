@@ -20,6 +20,7 @@ from dividing_lines import (
     stability_spectrum,
     transpose,
 )
+from dividing_lines import op
 
 TH = ThresholdPair(0.0, 1.0)
 E1 = Epsilon(1.0)
@@ -161,6 +162,27 @@ def test_alternation_witnesses_validate(tbl):
             assert res.witness.length == res.rank
 
 
+def test_alternation_ii_adjacency_matches_definition(tbl):
+    rng = np.random.default_rng(11)
+    tables = [rng.uniform(-1.0, 1.0, size=(5, 6)),
+              rng.integers(0, 2, size=(6, 4)).astype(float),
+              rng.integers(0, 2, size=(3, 70)).astype(float)]
+    tables.append(tables[-1].T)
+    for vals in tables:
+        t = tbl(vals, bound=1.0)
+        for eps in (0.4, 1.0):
+            adj = op.alternation_ii_adjacency(t, Epsilon(eps))
+            n_rows, n_cols = vals.shape
+            for v in range(n_rows * n_cols):
+                i1, j1 = divmod(v, n_cols)
+                want = 0
+                for i2 in range(n_rows):
+                    for j2 in range(n_cols):
+                        if i2 != i1 and j2 != j1 and abs(vals[i1, j2] - vals[i2, j1]) >= eps:
+                            want |= 1 << (i2 * n_cols + j2)
+                assert adj[v] == want, (vals.shape, eps, v)
+
+
 def test_alternation_iii_witness_is_lexfirst():
     # an exact search returns the first maximum-length sequence in
     # ascending (i, j) order, the witness the frozen report digests carry
@@ -232,6 +254,50 @@ def test_stability_spectrum_graded(tbl):
     spec = dict(stability_spectrum(t, max_len=3))
     assert spec[2] == 1.0
     assert spec[3] == 0.6
+
+
+def _spectrum_tables():
+    tables = [(f"u{n}x{n}", random_table(n, n, "uniform", seed=[n, 9])) for n in range(6, 11)]
+    for digits in (0, 1):
+        vals = np.round(random_table(8, 8, "uniform", seed=[digits, 10]).entries, digits)
+        tables.append((f"round{digits}", EvalTable(vals, bound=1.0)))
+    for r, c in ((8, 8), (12, 8), (8, 12)):
+        tables.append((f"b{r}x{c}", random_table(r, c, "bernoulli", seed=[r, c, 11])))
+    return [pytest.param(t, id=name) for name, t in tables]
+
+
+@pytest.mark.parametrize("t", _spectrum_tables())
+def test_stability_spectrum_matches_allpairs(t):
+    max_len = min(t.n_rows, t.n_cols)
+    assert stability_spectrum(t, max_len) == orc.allpairs_spectrum(t, max_len)
+
+
+def test_stability_spectrum_constant_table_has_no_gaps(tbl):
+    t = tbl(np.full((4, 5), 0.25), bound=1.0)
+    assert stability_spectrum(t, 4) == orc.allpairs_spectrum(t, 4) == [(2, None), (3, None), (4, None)]
+
+
+def test_stability_spectrum_call_count(monkeypatch):
+    t = random_table(10, 10, "uniform", seed=[1, 9])
+    n_values = len(np.unique(t.entries))
+    calls = []
+    ladder = op.max_ladder
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return ladder(*args, **kwargs)
+
+    monkeypatch.setattr(op, "max_ladder", counted)
+    stability_spectrum(t, 10)
+    assert len(calls) <= 2 * n_values * (10 - 1)
+    assert len(set(calls)) == len(calls)  # memoized: each pair at most once
+
+
+@pytest.mark.parametrize("n", [31, 32, 33, 63, 64, 65])
+def test_stability_spectrum_transposed_half_graph(n):
+    # two values, so one exact ladder call across the 32- and 64-bit widths
+    spec = stability_spectrum(transpose(half_graph(n)), n + 1)
+    assert spec == [(l, 1.0) for l in range(2, n + 1)] + [(n + 1, None)]
 
 
 def test_stability_spectrum_rejects_short():
