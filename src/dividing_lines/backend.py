@@ -7,7 +7,10 @@ order and the first witness found at the record length is kept, which
 makes it the lexicographically smallest maximal witness.
 
 All functions report `exact=False` (lower bounds only) once the node
-budget is exhausted.
+budget is exhausted.  The ladder, clique and alternation iii searches also
+stop, exact, as soon as the record reaches a proven maximum (at most one
+row and one column per step or cell), so a search that finds the optimum
+early does not spend its budget proving it.
 """
 from __future__ import annotations
 
@@ -29,17 +32,32 @@ class _Optimal(Exception):
     pass
 
 
-def ladder_search(ge_by_col: list[int], le_by_row: list[int], budget: int):
+def ladder_search(
+    ge_by_col: list[int],
+    le_by_row: list[int],
+    budget: int,
+    floor: int = 0,
+    cap: int | None = None,
+):
     """Longest ladder (rows, cols) under precomputed feasibility masks.
 
     ge_by_col[j] = bitmask of rows p with T[p][j] >= r;
     le_by_row[i] = bitmask of cols q with T[i][q] <= s.
     Row and column indices are each used at most once.
-    Returns (length, rows, cols, exact).
+    Records start above `floor`, a length the caller already holds a ladder
+    for, and the search ends exact once the record reaches `cap`, a proven
+    upper bound (default min(n_rows, n_cols)).  Neither changes which
+    ladder is returned when the maximum exceeds `floor`: bound cuts and the
+    memo only drop subtrees that cannot beat the record, so the first
+    maximum-length ladder in ascending order is still the first one found.
+    Returns (length, rows, cols, exact); rows and cols are empty, and
+    length is `floor`, when no ladder longer than `floor` was found.
     """
     n_rows = len(le_by_row)
     n_cols = len(ge_by_col)
-    best_len = 0
+    if cap is None:
+        cap = min(n_rows, n_cols)
+    best_len = floor
     best_rows: tuple[int, ...] = ()
     best_cols: tuple[int, ...] = ()
     nodes = 0
@@ -52,6 +70,8 @@ def ladder_search(ge_by_col: list[int], le_by_row: list[int], budget: int):
             best_len = depth
             best_rows = tuple(rseq)
             best_cols = tuple(cseq)
+            if best_len >= cap:
+                raise _Optimal
         if avail_rows == 0 or avail_cols == 0:
             return
         if depth + min(avail_rows.bit_count(), avail_cols.bit_count()) <= best_len:
@@ -82,15 +102,19 @@ def ladder_search(ge_by_col: list[int], le_by_row: list[int], budget: int):
     exact = True
     try:
         rec((1 << n_rows) - 1, (1 << n_cols) - 1, [], [])
+    except _Optimal:
+        pass
     except _BudgetHit:
         exact = False
     return best_len, best_rows, best_cols, exact
 
 
-def clique_search(adj: list[int], budget: int):
+def clique_search(adj: list[int], budget: int, cap: int):
     """Largest clique in a compatibility graph given as adjacency bitmasks.
 
-    Vertices are tried in ascending order; returns (size, vertices, exact).
+    Vertices are tried in ascending order, and the search ends exact once
+    the record reaches `cap`, a proven upper bound on the clique size.
+    Returns (size, vertices, exact).
     """
     n = len(adj)
     best_size = 0
@@ -102,6 +126,8 @@ def clique_search(adj: list[int], budget: int):
         if len(chosen) > best_size:
             best_size = len(chosen)
             best = tuple(chosen)
+            if best_size >= cap:
+                raise _Optimal
         if len(chosen) + cand.bit_count() <= best_size:
             return
         for v in _iter_bits(cand):
@@ -116,6 +142,8 @@ def clique_search(adj: list[int], budget: int):
     exact = True
     try:
         rec((1 << n) - 1, [])
+    except _Optimal:
+        pass
     except _BudgetHit:
         exact = False
     return best_size, best, exact

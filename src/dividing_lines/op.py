@@ -13,6 +13,9 @@ from .core import Epsilon, EvalTable, ThresholdPair, bitmasks
 from .errors import IndexOutOfRange
 
 DEFAULT_EXACT_LIMIT = 10**6
+# nodes for the first forward ladder pass and for the transposed probe; most
+# ladder calls finish inside the first slice and never pay for the probe
+_LADDER_SLICE = 10**4
 
 
 @dataclass(frozen=True)
@@ -156,12 +159,37 @@ def max_ladder(
     """Maximum ladder length with one witness.
 
     Length 1 always exists (a one-step ladder carries no constraints).
-    When the node budget `exact_limit` is exhausted the result is a sound
-    lower bound flagged `exact=False`.
+    The forward search gets a first slice of the budget.  If it runs out,
+    the transposed table is probed with at most one more slice (a ladder of
+    T, reversed, is a ladder of T^T at the same (s, r)), and the forward
+    search runs again on what is left, with records starting one below the
+    best length found so far and, when the probe was exact, stopping at the
+    probe's length.  An exact result is therefore the lexicographically
+    first maximum ladder, as one unsliced forward search would return.
+    When the passes, which share `exact_limit` nodes, run out, the result
+    is the longest ladder any pass found, a sound lower bound flagged
+    `exact=False`.
     """
     ge_by_col = bitmasks((t.entries >= th.r).T)
     le_by_row = bitmasks(t.entries <= th.s)
-    length, rows, cols, exact = backend.ladder_search(ge_by_col, le_by_row, exact_limit)
+    budget = min(exact_limit, _LADDER_SLICE)
+    length, rows, cols, exact = backend.ladder_search(ge_by_col, le_by_row, budget)
+    left = exact_limit - budget
+    if not exact and left > 0:
+        budget = min(left, _LADDER_SLICE)
+        left -= budget
+        t_len, t_rows, t_cols, t_exact = backend.ladder_search(
+            bitmasks(t.entries >= th.r), bitmasks((t.entries <= th.s).T), budget
+        )
+        if t_len > length:
+            length, rows, cols = t_len, t_cols[::-1], t_rows[::-1]
+        if left > 0:
+            cap = t_len if t_exact else None
+            f_len, f_rows, f_cols, exact = backend.ladder_search(
+                ge_by_col, le_by_row, left, floor=length - 1, cap=cap
+            )
+            if f_rows:
+                length, rows, cols = f_len, f_rows, f_cols
     if length == 0:
         length, rows, cols = 1, (0,), (0,)
     return LadderResult(length, LadderWitness(rows, cols, th), exact)
@@ -184,6 +212,17 @@ def alternation_ii_adjacency(t: EvalTable, e: Epsilon) -> list[int]:
     return adj
 
 
+def alternation_iii_masks(t: EvalTable, e: Epsilon) -> list[list[int]]:
+    """Separation masks of alternation iii: sep[j][i] has bit c set iff
+    |T[i][c] - T[i][j]| >= eps.  One broadcast and one `bitmasks` call for
+    every column j, split per column afterwards."""
+    vals = t.entries
+    # flags[j, i, c] = |T[i][c] - T[i][j]| >= eps
+    flags = np.abs(vals[None, :, :] - vals.T[:, :, None]) >= e.eps
+    masks = bitmasks(flags.reshape(-1, t.n_cols))
+    return [masks[j * t.n_rows : (j + 1) * t.n_rows] for j in range(t.n_cols)]
+
+
 def alternation_rank(
     t: EvalTable,
     e: Epsilon,
@@ -193,14 +232,15 @@ def alternation_rank(
     """Maximum length of a valid alternation witness of the given variant."""
     if variant == "ii":
         adj = alternation_ii_adjacency(t, e)
-        size, verts, exact = backend.clique_search(adj, exact_limit)
+        # a clique uses at most one cell per row and per column
+        cap = min(t.n_rows, t.n_cols)
+        size, verts, exact = backend.clique_search(adj, exact_limit, cap)
         pairs = tuple(divmod(v, t.n_cols) for v in verts)
         if size == 0:
             size, pairs = 1, ((0, 0),)
         return AlternationResult(size, AlternationWitness("ii", pairs, e), exact)
     if variant == "iii":
-        vals = t.entries
-        sep_by_col = [bitmasks(np.abs(vals - vals[:, [j]]) >= e.eps) for j in range(t.n_cols)]
+        sep_by_col = alternation_iii_masks(t, e)
         length, pairs, exact = backend.alternation_iii_search(sep_by_col, t.n_cols, exact_limit)
         if length == 0:
             length, pairs = 1, ((0, 0),)

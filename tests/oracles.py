@@ -37,6 +37,40 @@ def brute_max_ladder(t, s: float, r: float) -> int:
     return best
 
 
+def lexfirst_max_ladder(t, s: float, r: float) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """Length, rows and cols of the first maximum-length ladder in ascending
+    (i, j) extension order, i.e. the lexicographically smallest one, found
+    by exhaustive search over every valid ladder."""
+    vals = t.entries
+    n_rows, n_cols = vals.shape
+    best: tuple[list[int], list[int]] = ([], [])
+
+    def valid(rows, cols):
+        n = len(rows)
+        return all(
+            vals[rows[k], cols[l]] >= r if k > l else vals[rows[k], cols[l]] <= s
+            for k in range(n)
+            for l in range(n)
+            if k != l
+        )
+
+    def extend(rows, cols):
+        nonlocal best
+        if len(rows) > len(best[0]):
+            best = (rows, cols)
+        for i in range(n_rows):
+            if i in rows:
+                continue
+            for j in range(n_cols):
+                if j in cols:
+                    continue
+                if valid(rows + [i], cols + [j]):
+                    extend(rows + [i], cols + [j])
+
+    extend([], [])
+    return len(best[0]), tuple(best[0]), tuple(best[1])
+
+
 def brute_alternation_ii(t, eps: float) -> int:
     """Largest pair set (distinct rows, distinct cols) with pairwise
     |T[i_t][j_u] - T[i_u][j_t]| >= eps; the condition is symmetric so sets

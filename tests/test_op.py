@@ -20,7 +20,8 @@ from dividing_lines import (
     stability_spectrum,
     transpose,
 )
-from dividing_lines import op
+from dividing_lines import backend, op
+from dividing_lines.core import bitmasks
 
 TH = ThresholdPair(0.0, 1.0)
 E1 = Epsilon(1.0)
@@ -65,9 +66,9 @@ def test_ladder_witness_out_of_range():
 
 def test_ladder_half_graph():
     cases = [(n, half_graph(n)) for n in range(2, 7)]
-    # masks across the 32- and 64-bit widths; transposed, because the search
-    # exhausts its budget on half_graph(n) itself from n = 63
-    cases += [(n, transpose(half_graph(n))) for n in (31, 32, 33, 63, 64, 65)]
+    # masks across the 32- and 64-bit widths, in both orientations
+    for n in (31, 32, 33, 63, 64, 65):
+        cases += [(n, half_graph(n)), (n, transpose(half_graph(n)))]
     for n, t in cases:
         res = max_ladder(t, TH)
         assert res.length == n
@@ -113,6 +114,76 @@ def test_ladder_matches_oracle(rows):
     assert max_ladder(t, TH).length == orc.brute_max_ladder(t, 0.0, 1.0)
 
 
+def test_ladder_witness_is_lexfirst():
+    # an exact search returns the first maximum-length ladder in ascending
+    # (i, j) order, the witness the frozen report digests carry
+    for seed in range(300):
+        rng = np.random.default_rng([seed, 5])
+        n_rows = int(rng.integers(1, 6))
+        n_cols = int(rng.integers(1, 20 // n_rows + 1))
+        if seed % 2:
+            t = EvalTable(rng.uniform(-1.0, 1.0, size=(n_rows, n_cols)), bound=1.0)
+            s, r = -0.3, 0.3
+        else:
+            t = EvalTable(rng.integers(0, 2, size=(n_rows, n_cols)).astype(float), bound=1.0)
+            s, r = 0.0, 1.0
+        res = max_ladder(t, ThresholdPair(s, r))
+        length, rows, cols = orc.lexfirst_max_ladder(t, s, r)
+        assert res.exact, seed
+        assert (res.length, res.witness.rows, res.witness.cols) == (length, rows, cols), seed
+
+
+def _two_orientation_tables():
+    # tables whose forward search outruns the first slice of the budget
+    shapes = [("bernoulli", 16), ("bernoulli", 20), ("bernoulli", 24),
+              ("uniform", 20), ("uniform", 24)]
+    return [pytest.param(random_table(n, n, model, seed=[seed, n, 16]),
+                         TH if model == "bernoulli" else ThresholdPair(-0.3, 0.3),
+                         id=f"{model}{n}-{seed}")
+            for model, n in shapes for seed in range(2)]
+
+
+@pytest.mark.parametrize("t, th", _two_orientation_tables())
+def test_ladder_two_orientations_match_one_pass(t, th):
+    ge_by_col = bitmasks((t.entries >= th.r).T)
+    le_by_row = bitmasks(t.entries <= th.s)
+    assert not backend.ladder_search(ge_by_col, le_by_row, op._LADDER_SLICE)[3]
+    length, rows, cols, exact = backend.ladder_search(ge_by_col, le_by_row, op.DEFAULT_EXACT_LIMIT)
+    res = max_ladder(t, th)
+    assert (res.length, res.witness.rows, res.witness.cols, res.exact) == (length, rows, cols, exact)
+    flipped = max_ladder(transpose(t), th)
+    if res.exact and flipped.exact:
+        assert flipped.length == res.length
+    assert flipped.witness.is_valid(transpose(t))
+
+
+@settings(max_examples=40, deadline=None)
+@given(binary_tables(5, 5))
+def test_ladder_orientation_invariant(rows):
+    t = EvalTable(np.array(rows), bound=1.0)
+    res, flipped = max_ladder(t, TH), max_ladder(transpose(t), TH)
+    assert res.exact and flipped.exact
+    assert res.length == flipped.length
+
+
+@pytest.mark.parametrize("exact_limit", [10, 5_000, 15_000, 10**6])
+def test_ladder_passes_share_one_budget(monkeypatch, exact_limit):
+    budgets = []
+    search = backend.ladder_search
+
+    def recorded(ge_by_col, le_by_row, budget, *args, **kwargs):
+        budgets.append(budget)
+        return search(ge_by_col, le_by_row, budget, *args, **kwargs)
+
+    monkeypatch.setattr(backend, "ladder_search", recorded)
+    t = half_graph(65)
+    res = max_ladder(t, TH, exact_limit)
+    assert sum(budgets) <= exact_limit
+    assert res.witness.is_valid(t)
+    assert res.length == 65 if res.exact else res.length <= 65
+    assert res.exact == (exact_limit == 10**6)
+
+
 def test_alternation_witness_validity(tbl):
     t = tbl([[0.0, 1.0], [0.0, 0.0]], bound=1.0)
     w = AlternationWitness("ii", ((0, 0), (1, 1)), E1)
@@ -132,6 +203,15 @@ def test_alternation_half_graph():
         t = half_graph(n)
         assert alternation_rank(t, E1, "ii").rank == n
         assert alternation_rank(t, E1, "iii").rank == n
+
+
+def test_alternation_ii_stops_at_row_col_cap():
+    # a clique takes at most one cell per row and column, so rank 6 on the
+    # 64x6 table ends the search without proving optimality node by node
+    t = full_pattern(6)
+    res = alternation_rank(t, Epsilon(0.5), "ii")
+    assert (res.rank, res.exact) == (6, True)
+    assert res.witness.is_valid(t)
 
 
 def test_alternation_identity(tbl):
@@ -181,6 +261,19 @@ def test_alternation_ii_adjacency_matches_definition(tbl):
                         if i2 != i1 and j2 != j1 and abs(vals[i1, j2] - vals[i2, j1]) >= eps:
                             want |= 1 << (i2 * n_cols + j2)
                 assert adj[v] == want, (vals.shape, eps, v)
+
+
+def test_alternation_iii_masks_match_per_column_build(tbl):
+    rng = np.random.default_rng(12)
+    tables = [rng.uniform(-1.0, 1.0, size=(5, 6)),
+              rng.integers(0, 2, size=(6, 4)).astype(float),
+              rng.integers(0, 2, size=(3, 70)).astype(float)]
+    tables.append(tables[-1].T)
+    for vals in tables:
+        t = tbl(vals, bound=1.0)
+        for eps in (0.4, 1.0):
+            want = [bitmasks(np.abs(vals - vals[:, [j]]) >= eps) for j in range(t.n_cols)]
+            assert op.alternation_iii_masks(t, Epsilon(eps)) == want, (vals.shape, eps)
 
 
 def test_alternation_iii_witness_is_lexfirst():
