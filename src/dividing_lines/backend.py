@@ -10,7 +10,9 @@ All functions report `exact=False` (lower bounds only) once the node
 budget is exhausted.  The ladder, clique and alternation iii searches also
 stop, exact, as soon as the record reaches a proven maximum (at most one
 row and one column per step or cell), so a search that finds the optimum
-early does not spend its budget proving it.
+early does not spend its budget proving it.  In the ladder search a row
+whose every child the bound cuts spends no node, and each (i, j) tried
+costs one, so a larger budget only walks further along the same search.
 """
 from __future__ import annotations
 
@@ -44,6 +46,10 @@ def ladder_search(
     ge_by_col[j] = bitmask of rows p with T[p][j] >= r;
     le_by_row[i] = bitmask of cols q with T[i][q] <= s.
     Row and column indices are each used at most once.
+    Bounds are checked before descending: a row whose children all keep
+    too few rows or columns to beat the record is skipped whole and spends
+    no node, and each (i, j) tried counts one node whether or not its child
+    is entered.
     Records start above `floor`, a length the caller already holds a ladder
     for, and the search ends exact once the record reaches `cap`, a proven
     upper bound (default min(n_rows, n_cols)).  Neither changes which
@@ -64,6 +70,7 @@ def ladder_search(
     seen: dict[tuple[int, int], int] = {}
 
     def rec(avail_rows: int, avail_cols: int, rseq: list[int], cseq: list[int]):
+        # callers enter a state only if depth + min(popcounts) beats best_len
         nonlocal best_len, best_rows, best_cols, nodes
         depth = len(rseq)
         if depth > best_len:
@@ -74,32 +81,38 @@ def ladder_search(
                 raise _Optimal
         if avail_rows == 0 or avail_cols == 0:
             return
-        if depth + min(avail_rows.bit_count(), avail_cols.bit_count()) <= best_len:
-            return
         # a state's achievable extension depth is fixed, so only a strictly
         # deeper visit can improve on what was already explored
         prev = seen.get((avail_rows, avail_cols))
         if prev is not None and depth <= prev:
             return
         seen[(avail_rows, avail_cols)] = depth
+        rows_left = avail_rows.bit_count() - 1
         for i in _iter_bits(avail_rows):
             new_cols = avail_cols & le_by_row[i]
+            # every child of row i keeps at most rows_left rows and the
+            # columns of new_cols; best_len only grows, so the cut holds for
+            # the whole row
+            if min(rows_left, new_cols.bit_count()) <= best_len - depth - 1:
+                continue
+            other_rows = avail_rows & ~(1 << i)
             for j in _iter_bits(avail_cols):
                 nodes += 1
                 if nodes > budget:
                     raise _BudgetHit
-                rseq.append(i)
-                cseq.append(j)
-                rec(
-                    avail_rows & ge_by_col[j] & ~(1 << i),
-                    new_cols & ~(1 << j),
-                    rseq,
-                    cseq,
-                )
-                rseq.pop()
-                cseq.pop()
+                child_rows = other_rows & ge_by_col[j]
+                child_cols = new_cols & ~(1 << j)
+                need = best_len - depth - 1
+                if child_rows.bit_count() > need and child_cols.bit_count() > need:
+                    rseq.append(i)
+                    cseq.append(j)
+                    rec(child_rows, child_cols, rseq, cseq)
+                    rseq.pop()
+                    cseq.pop()
 
     exact = True
+    if min(n_rows, n_cols) <= floor:
+        return best_len, best_rows, best_cols, exact
     try:
         rec((1 << n_rows) - 1, (1 << n_cols) - 1, [], [])
     except _Optimal:

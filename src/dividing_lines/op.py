@@ -16,6 +16,9 @@ DEFAULT_EXACT_LIMIT = 10**6
 # nodes for the first forward ladder pass and for the transposed probe; most
 # ladder calls finish inside the first slice and never pay for the probe
 _LADDER_SLICE = 10**4
+# cells per broadcast block in `alternation_iii_masks` (a 128 KiB float64
+# temporary): bigger blocks measured slower from 64x64 tables up
+_III_BLOCK_CELLS = 2**14
 
 
 @dataclass(frozen=True)
@@ -172,19 +175,33 @@ def max_ladder(
     """
     ge_by_col = bitmasks((t.entries >= th.r).T)
     le_by_row = bitmasks(t.entries <= th.s)
+    return _ladder(t, th, ge_by_col, le_by_row, exact_limit)
+
+
+def _ladder(
+    t: EvalTable,
+    th: ThresholdPair,
+    ge_by_col: list[int],
+    le_by_row: list[int],
+    exact_limit: int,
+    cap: int | None = None,
+) -> LadderResult:
+    """`max_ladder` on masks the caller built, stopping exact at `cap`, a
+    proven upper bound on the ladder length (default min(n_rows, n_cols))."""
     budget = min(exact_limit, _LADDER_SLICE)
-    length, rows, cols, exact = backend.ladder_search(ge_by_col, le_by_row, budget)
+    length, rows, cols, exact = backend.ladder_search(ge_by_col, le_by_row, budget, cap=cap)
     left = exact_limit - budget
     if not exact and left > 0:
         budget = min(left, _LADDER_SLICE)
         left -= budget
         t_len, t_rows, t_cols, t_exact = backend.ladder_search(
-            bitmasks(t.entries >= th.r), bitmasks((t.entries <= th.s).T), budget
+            bitmasks(t.entries >= th.r), bitmasks((t.entries <= th.s).T), budget, cap=cap
         )
         if t_len > length:
             length, rows, cols = t_len, t_cols[::-1], t_rows[::-1]
         if left > 0:
-            cap = t_len if t_exact else None
+            if t_exact:
+                cap = t_len  # the true maximum, so at most any cap passed in
             f_len, f_rows, f_cols, exact = backend.ladder_search(
                 ge_by_col, le_by_row, left, floor=length - 1, cap=cap
             )
@@ -214,12 +231,17 @@ def alternation_ii_adjacency(t: EvalTable, e: Epsilon) -> list[int]:
 
 def alternation_iii_masks(t: EvalTable, e: Epsilon) -> list[list[int]]:
     """Separation masks of alternation iii: sep[j][i] has bit c set iff
-    |T[i][c] - T[i][j]| >= eps.  One broadcast and one `bitmasks` call for
-    every column j, split per column afterwards."""
+    |T[i][c] - T[i][j]| >= eps.  One broadcast and one `bitmasks` call per
+    block of columns j, split per column afterwards; a block spans at most
+    `_III_BLOCK_CELLS` cells, so the float temporary stays small at any
+    table size."""
     vals = t.entries
-    # flags[j, i, c] = |T[i][c] - T[i][j]| >= eps
-    flags = np.abs(vals[None, :, :] - vals.T[:, :, None]) >= e.eps
-    masks = bitmasks(flags.reshape(-1, t.n_cols))
+    step = max(1, _III_BLOCK_CELLS // (t.n_rows * t.n_cols))
+    masks = []
+    for lo in range(0, t.n_cols, step):
+        # flags[j - lo, i, c] = |T[i][c] - T[i][j]| >= eps
+        flags = np.abs(vals[None, :, :] - vals.T[lo : lo + step, :, None]) >= e.eps
+        masks += bitmasks(flags.reshape(-1, t.n_cols))
     return [masks[j * t.n_rows : (j + 1) * t.n_rows] for j in range(t.n_cols)]
 
 
@@ -259,21 +281,35 @@ def stability_spectrum(
     falls as a rises and never rises as b rises, so for each l the largest
     feasible b is nondecreasing in a.  One downward staircase walk per l
     (saddleback search) finds it for every a, and lengths are memoized by
-    (a, b), so the function makes O(V * max_len) `max_ladder` calls for V
-    distinct values rather than V(V-1)/2.  Every reported gap is attained
-    by a ladder that exists, so it is a sound lower bound even when a call
-    exhausts `exact_limit`; it equals the all-pairs maximum whenever every
-    ladder call is exact.
+    (a, b), so the function makes O(V * max_len) ladder calls for V
+    distinct values rather than V(V-1)/2.  The `<= s` masks are built once
+    per value a and the `>= r` masks once per value b, and each call stops
+    at the length of its neighbours (a + 1, b) and (a, b - 1) when these
+    are known and exact, since neither a lower s nor a higher r lengthens a
+    ladder.  Every reported gap is attained by a ladder that exists, so it
+    is a sound lower bound even when a call exhausts `exact_limit`; it
+    equals the all-pairs maximum whenever every ladder call is exact.
     """
     if max_len < 2:
         raise ValueError("max_len must be >= 2")
     values = sorted(set(t.entries.ravel().tolist()))
+    le_masks: dict[int, list[int]] = {}
+    ge_masks: dict[int, list[int]] = {}
     lengths: dict[tuple[int, int], int] = {}
+    proven: dict[tuple[int, int], int] = {}  # lengths of the exact calls
 
     def ladder_length(a: int, b: int) -> int:
         if (a, b) not in lengths:
+            if a not in le_masks:
+                le_masks[a] = bitmasks(t.entries <= values[a])
+            if b not in ge_masks:
+                ge_masks[b] = bitmasks((t.entries >= values[b]).T)
+            caps = [proven[k] for k in ((a + 1, b), (a, b - 1)) if k in proven]
             th = ThresholdPair(values[a], values[b])
-            lengths[a, b] = max_ladder(t, th, exact_limit).length
+            res = _ladder(t, th, ge_masks[b], le_masks[a], exact_limit, min(caps, default=None))
+            lengths[a, b] = res.length
+            if res.exact:
+                proven[a, b] = res.length
         return lengths[a, b]
 
     spectrum = []

@@ -133,14 +133,35 @@ def test_ladder_witness_is_lexfirst():
         assert (res.length, res.witness.rows, res.witness.cols) == (length, rows, cols), seed
 
 
-def _two_orientation_tables():
-    # tables whose forward search outruns the first slice of the budget
-    shapes = [("bernoulli", 16), ("bernoulli", 20), ("bernoulli", 24),
-              ("uniform", 20), ("uniform", 24)]
+def _square_tables(seeds):
     return [pytest.param(random_table(n, n, model, seed=[seed, n, 16]),
                          TH if model == "bernoulli" else ThresholdPair(-0.3, 0.3),
                          id=f"{model}{n}-{seed}")
-            for model, n in shapes for seed in range(2)]
+            for (model, n), shape_seeds in seeds.items() for seed in shape_seeds]
+
+
+def _two_orientation_tables():
+    # tables whose forward search outruns the first slice of the budget
+    return _square_tables({("bernoulli", 20): (0, 2, 3), ("bernoulli", 24): (0, 1, 2, 3),
+                           ("uniform", 24): (0, 3), ("uniform", 28): (0, 1, 2, 3)})
+
+
+def _first_slice_tables():
+    # tables whose forward search outran the first slice before the ladder
+    # search cut rows and children ahead of descending
+    return _square_tables({("bernoulli", 16): (0, 1), ("bernoulli", 20): (1,),
+                           ("uniform", 20): (0, 1), ("uniform", 24): (1,)})
+
+
+@pytest.mark.parametrize("t, th", _first_slice_tables())
+def test_ladder_first_slice_suffices(t, th):
+    ge_by_col = bitmasks((t.entries >= th.r).T)
+    le_by_row = bitmasks(t.entries <= th.s)
+    length, rows, cols, exact = backend.ladder_search(ge_by_col, le_by_row, op._LADDER_SLICE)
+    assert exact
+    res = max_ladder(t, th)
+    assert (res.length, res.witness.rows, res.witness.cols, res.exact) == (length, rows, cols, exact)
+    assert max_ladder(transpose(t), th).length == length
 
 
 @pytest.mark.parametrize("t, th", _two_orientation_tables())
@@ -155,6 +176,33 @@ def test_ladder_two_orientations_match_one_pass(t, th):
     if res.exact and flipped.exact:
         assert flipped.length == res.length
     assert flipped.witness.is_valid(transpose(t))
+
+
+def test_ladder_search_budget_monotone():
+    # cut rows spend no node and every (i, j) tried costs one, so a larger
+    # budget walks a longer prefix of the same search
+    budgets = (10, 100, 10**3, 10**4, 10**6)
+    for n in (8, 12, 16):
+        for seed in range(3):
+            for model, th in (("bernoulli", TH), ("uniform", ThresholdPair(-0.3, 0.3))):
+                t = random_table(n, n, model, seed=[seed, n, 17])
+                ge_by_col = bitmasks((t.entries >= th.r).T)
+                le_by_row = bitmasks(t.entries <= th.s)
+                results = [backend.ladder_search(ge_by_col, le_by_row, b) for b in budgets]
+                for small, large in zip(results, results[1:]):
+                    assert small[0] <= large[0], (n, seed, model)
+                for k, res in enumerate(results):
+                    if res[3]:
+                        assert all(later == res for later in results[k:]), (n, seed, model)
+                assert results[-1][3], (n, seed, model)
+
+
+@pytest.mark.parametrize("seed, length", [(0, 10), (1, 9)])
+def test_ladder_bernoulli_32x32_exact(seed, length):
+    t = random_table(32, 32, "bernoulli", seed=[seed, 32, 16])
+    res = max_ladder(t, TH)
+    assert (res.length, res.exact) == (length, True)
+    assert res.witness.is_valid(t) and res.witness.length == length
 
 
 @settings(max_examples=40, deadline=None)
@@ -269,6 +317,7 @@ def test_alternation_iii_masks_match_per_column_build(tbl):
               rng.integers(0, 2, size=(6, 4)).astype(float),
               rng.integers(0, 2, size=(3, 70)).astype(float)]
     tables.append(tables[-1].T)
+    tables.append(rng.uniform(-1.0, 1.0, size=(128, 128)))
     for vals in tables:
         t = tbl(vals, bound=1.0)
         for eps in (0.4, 1.0):
@@ -374,16 +423,48 @@ def test_stability_spectrum_call_count(monkeypatch):
     t = random_table(10, 10, "uniform", seed=[1, 9])
     n_values = len(np.unique(t.entries))
     calls = []
-    ladder = op.max_ladder
+    ladder = op._ladder
 
     def counted(*args, **kwargs):
         calls.append(args[1])
         return ladder(*args, **kwargs)
 
-    monkeypatch.setattr(op, "max_ladder", counted)
+    monkeypatch.setattr(op, "_ladder", counted)
     stability_spectrum(t, 10)
+    assert calls
     assert len(calls) <= 2 * n_values * (10 - 1)
     assert len(set(calls)) == len(calls)  # memoized: each pair at most once
+
+
+@pytest.mark.parametrize("n", [8, 10])
+def test_stability_spectrum_sound_under_tiny_budget(monkeypatch, n):
+    # with 30 nodes many calls run out; a call is capped only by an exact
+    # neighbour, so a call flagged exact has the true length, and every gap
+    # comes from a real ladder
+    t = random_table(n, n, "uniform", seed=[n, 9])
+    calls = []
+    ladder = op._ladder
+
+    def recorded(*args, **kwargs):
+        res = ladder(*args, **kwargs)
+        calls.append((args[1], res))
+        return res
+
+    monkeypatch.setattr(op, "_ladder", recorded)
+    spectrum = stability_spectrum(t, n, exact_limit=30)
+    monkeypatch.undo()
+    assert any(not res.exact for _, res in calls)
+    for th, res in calls:
+        if res.exact:
+            assert res.length == max_ladder(t, th).length, th
+    values = sorted(set(t.entries.ravel().tolist()))
+    truth = dict(orc.allpairs_spectrum(t, n))
+    for length, gap in spectrum:
+        if gap is None:
+            continue
+        assert truth[length] is not None and gap <= truth[length], length
+        pairs = [(s, r) for k, s in enumerate(values) for r in values[k + 1 :] if r - s == gap]
+        assert any(orc.brute_max_ladder(t, s, r) >= length for s, r in pairs), length
 
 
 @pytest.mark.parametrize("n", [31, 32, 33, 63, 64, 65])
