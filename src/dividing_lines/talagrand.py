@@ -16,6 +16,9 @@ from .core import EvalTable, ThresholdPair, bitmasks
 from .errors import BudgetExceeded, EmptySubset, IndexOutOfRange
 
 DEFAULT_TUPLE_BUDGET = 10**8
+# Monte Carlo samples and exact-mode combinations are tested in blocks of
+# about this many cells, so the temporaries stay small at any sample count
+_TUPLE_BLOCK_CELLS = 2**18
 
 
 @dataclass(frozen=True)
@@ -71,13 +74,59 @@ def _check_subset(t: EvalTable, E: Sequence[int]) -> tuple[int, ...]:
     return members
 
 
-def _tuple_realizable(low_by_row, high_by_row, coords) -> bool:
-    m = ~0
-    for pos, p in enumerate(coords):
-        m &= low_by_row[p] if pos % 2 == 0 else high_by_row[p]
-        if m == 0:
-            return False
-    return True
+def _draw_tuples(rng: np.random.Generator, n: int, m: int, samples: int,
+                 distinct: bool) -> np.ndarray:
+    """(samples, m) array of uniform m-tuples over range(n), with pairwise
+    distinct coordinates when `distinct` (which needs m <= n)."""
+    if not distinct:
+        return rng.integers(0, n, size=(samples, m))
+    # Floyd's algorithm, one step for all rows at once: step j adds a
+    # uniform value in [0, j], or j itself when the value is already in
+    # the row, which leaves each row a uniform m-subset
+    out = np.empty((samples, m), dtype=np.int64)
+    for pos, j in enumerate(range(n - m, n)):
+        val = rng.integers(0, j + 1, size=samples)
+        taken = (out[:, :pos] == val[:, None]).any(axis=1)
+        out[:, pos] = np.where(taken, j, val)
+    # a uniform order of each subset
+    return rng.permuted(out, axis=1)
+
+
+def _block_rows(cells_per_row: int) -> int:
+    """Tuples per block, so that a block's temporaries hold about
+    `_TUPLE_BLOCK_CELLS` cells at any table width."""
+    return max(1, _TUPLE_BLOCK_CELLS // cells_per_row)
+
+
+def _count_alternating(low: np.ndarray, high: np.ndarray, coords: np.ndarray) -> int:
+    """Rows of `coords` (tuples of row indices) for which some column is
+    low at every even and high at every odd coordinate; `low`/`high` are
+    the row flags packed by `np.packbits(..., axis=1)`."""
+    acc = low[coords[:, 0]]
+    for pos in range(1, coords.shape[1]):
+        acc &= (high if pos % 2 else low)[coords[:, pos]]
+    return int(acc.any(axis=1).sum())
+
+
+def _count_shattered(low: np.ndarray, either: np.ndarray, coords: np.ndarray) -> int:
+    """Rows of `coords` (n-tuples of row indices) whose every low/high
+    pattern is realized by some column; `either` flags the cells that are
+    low or high.  Since low and high never meet, a column where every
+    coordinate is low or high realizes exactly one pattern, coded by its
+    low bits; a tuple is shattered when its columns realize all 2^n codes."""
+    samples, n = coords.shape
+    valid = either[coords[:, 0]]
+    codes = low[coords[:, 0]].astype(np.int64)
+    for b in range(1, n):
+        valid &= either[coords[:, b]]
+        codes |= low[coords[:, b]].astype(np.int64) << b
+    # code 2^n collects the invalid columns; each tuple counts its codes
+    # in a slot range of its own
+    width = (1 << n) + 1
+    codes[~valid] = 1 << n
+    codes += np.arange(samples)[:, None] * width
+    seen = np.bincount(codes.ravel(), minlength=samples * width).reshape(samples, width)
+    return int(seen[:, :-1].all(axis=1).sum())
 
 
 def dk_count(
@@ -96,10 +145,11 @@ def dk_count(
     `distinct_coords`).
 
     Exact mode requires |E|^(2k) <= budget (BudgetExceeded otherwise).
-    mc mode draws `samples` seeded uniform tuples (rejection sampling when
-    distinct) and returns an unbiased count estimate with its standard
-    error.  Both modes raise ValueError when |E|^(2k) exceeds the float
-    range, since the report holds it as a float.
+    mc mode draws `samples` seeded uniform tuples in numpy batches (Floyd's
+    subset algorithm and a random order when distinct) and returns an
+    unbiased count estimate with its standard error.  Both modes raise
+    ValueError when |E|^(2k) exceeds the float range, since the report
+    holds it as a float.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -107,8 +157,6 @@ def dk_count(
         raise ValueError("samples must be >= 1")
     members = _check_subset(t, E)
     n = len(members)
-    low_by_row = bitmasks(t.entries <= th.s)
-    high_by_row = bitmasks(t.entries >= th.r)
     tuples = n ** (2 * k)
     if mode == "exact" and tuples > budget:
         # classify reports carry this message, so keep its float form where one exists
@@ -121,6 +169,8 @@ def dk_count(
 
     if mode == "exact":
         rows = list(members)
+        low_by_row = bitmasks(t.entries <= th.s)
+        high_by_row = bitmasks(t.entries >= th.r)
         if distinct_coords:
             count: float = float(backend.dk_count_distinct(low_by_row, high_by_row, rows, k))
         else:
@@ -132,13 +182,13 @@ def dk_count(
         rng = np.random.default_rng(seed)
         hits = 0
         if space > 0.0:
-            for _ in range(samples):
-                if distinct_coords:
-                    coords = [members[i] for i in rng.choice(n, size=2 * k, replace=False)]
-                else:
-                    coords = [members[i] for i in rng.integers(0, n, size=2 * k)]
-                if _tuple_realizable(low_by_row, high_by_row, coords):
-                    hits += 1
+            rows = np.asarray(members)
+            low = np.packbits(t.entries <= th.s, axis=1)
+            high = np.packbits(t.entries >= th.r, axis=1)
+            block = _block_rows(2 * k + low.shape[1])
+            for start in range(0, samples, block):
+                drawn = _draw_tuples(rng, n, 2 * k, min(block, samples - start), distinct_coords)
+                hits += _count_alternating(low, high, rows[drawn])
         p_hat = hits / samples
         count = p_hat * space
         std_error = math.sqrt(max(p_hat * (1 - p_hat), 0.0) / samples) * space
@@ -195,7 +245,10 @@ def shattered_tuple_fraction(
     budget: int = DEFAULT_TUPLE_BUDGET,
 ) -> float:
     """Fraction of pairwise-distinct n-tuples over E whose every subset
-    pattern is realized by some column (strict </> when `strict`)."""
+    pattern is realized by some column (strict </> when `strict`).
+
+    It is 0.0 without a search when 2^n exceeds the number of columns,
+    since a column realizes at most one of the 2^n patterns."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if mode == "mc" and samples < 1:
@@ -204,38 +257,37 @@ def shattered_tuple_fraction(
     size = len(members)
     if size < n:
         return 0.0
+    if mode == "exact":
+        if size**n > budget:
+            raise BudgetExceeded(f"|E|^n = {size}^{n} exceeds budget {budget}")
+    elif mode == "mc":
+        if seed is None:
+            raise ValueError("mc mode requires a seed")
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    if 1 << n > t.n_cols:
+        # low and high never meet, so a column realizes at most one pattern
+        return 0.0
     if strict:
         low = t.entries < th.s
         high = t.entries > th.r
     else:
         low = t.entries <= th.s
         high = t.entries >= th.r
-    low_by_row = bitmasks(low)
-    high_by_row = bitmasks(high)
-
-    def tuple_shattered(coords) -> bool:
-        for pattern in range(1 << n):
-            m = ~0
-            for b, p in enumerate(coords):
-                m &= low_by_row[p] if pattern & (1 << b) else high_by_row[p]
-                if m == 0:
-                    return False
-        return True
-
+    either = low | high
+    block = _block_rows(n * t.n_cols)
+    hits = 0
     if mode == "exact":
-        if size**n > budget:
-            raise BudgetExceeded(f"|E|^n = {size}^{n} exceeds budget {budget}")
         # being shattered does not depend on coordinate order
-        hits = sum(1 for coords in itertools.combinations(members, n) if tuple_shattered(coords))
-        return hits / math.comb(size, n)
-    if mode == "mc":
-        if seed is None:
-            raise ValueError("mc mode requires a seed")
-        rng = np.random.default_rng(seed)
-        hits = 0
-        for _ in range(samples):
-            coords = [members[i] for i in rng.choice(size, size=n, replace=False)]
-            if tuple_shattered(coords):
-                hits += 1
-        return hits / samples
-    raise ValueError(f"unknown mode {mode!r}")
+        combos = itertools.chain.from_iterable(itertools.combinations(members, n))
+        while True:
+            coords = np.fromiter(itertools.islice(combos, block * n), dtype=np.int64)
+            if not coords.size:
+                return hits / math.comb(size, n)
+            hits += _count_shattered(low, either, coords.reshape(-1, n))
+    rng = np.random.default_rng(seed)
+    rows = np.asarray(members)
+    for start in range(0, samples, block):
+        drawn = _draw_tuples(rng, size, n, min(block, samples - start), True)
+        hits += _count_shattered(low, either, rows[drawn])
+    return hits / samples

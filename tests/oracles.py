@@ -100,6 +100,8 @@ def brute_alternation_iii(t, eps: float) -> int:
     |T[i_u][j_t] - T[i_u][j_v]| >= eps for all t < u < v."""
     vals = t.entries
     n_rows, n_cols = vals.shape
+    # rows and columns are distinct, so no sequence is longer than this
+    cap = min(n_rows, n_cols)
     best = 1
 
     def ok_as_last(seq, j):
@@ -119,6 +121,8 @@ def brute_alternation_iii(t, eps: float) -> int:
             if any(i == i2 for i2, _ in seq):
                 continue
             for j in range(n_cols):
+                if best == cap:
+                    return
                 if any(j == j2 for _, j2 in seq):
                     continue
                 if ok_as_last(seq, j):

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
 import oracles as orc
 from dividing_lines import (
@@ -17,6 +20,7 @@ from dividing_lines import (
     shattered_tuple_fraction,
     transpose,
 )
+from dividing_lines import talagrand
 from dividing_lines.errors import BudgetExceeded, EmptySubset
 
 TH = ThresholdPair(0.0, 1.0)
@@ -216,3 +220,127 @@ def test_shattered_tuple_fraction_mc():
     t = full_pattern(3)
     est = shattered_tuple_fraction(t, range(8), 1, TH, mode="mc", seed=4, samples=2000)
     assert abs(est - 0.75) < 0.05
+
+
+def test_shattered_tuple_fraction_more_patterns_than_columns():
+    # 2^4 patterns over 3 columns: no 4-tuple can be shattered
+    t = full_pattern(3)
+    for strict in (False, True):
+        assert shattered_tuple_fraction(t, range(8), 4, TH, strict=strict) == 0.0
+        assert orc.brute_shattered_fraction(t, range(8), 4, 0.0, 1.0, strict) == 0.0
+        assert shattered_tuple_fraction(t, range(8), 4, TH, strict=strict, mode="mc", seed=1,
+                                        samples=50) == 0.0
+
+
+def test_shattered_tuple_fraction_exact_blocks(monkeypatch):
+    # blocks of a few combinations give the same exact fraction as one block
+    rng = np.random.default_rng(13)
+    t = EvalTable(rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], size=(7, 9)), bound=1.0)
+    th = ThresholdPair(-0.5, 0.5)
+    whole = {(n, strict): shattered_tuple_fraction(t, range(7), n, th, strict=strict)
+             for n in (1, 2, 3) for strict in (False, True)}
+    monkeypatch.setattr(talagrand, "_TUPLE_BLOCK_CELLS", 40)
+    for (n, strict), want in whole.items():
+        assert shattered_tuple_fraction(t, range(7), n, th, strict=strict) == want
+        assert want == orc.brute_shattered_fraction(t, range(7), n, -0.5, 0.5, strict)
+
+
+def _chi_square_p(counts: np.ndarray) -> float:
+    expected = counts.sum() / counts.size
+    stat = float(((counts - expected) ** 2).sum() / expected)
+    return float(chi2.sf(stat, counts.size - 1))
+
+
+@pytest.mark.parametrize("n, m", [(5, 3), (4, 4), (7, 4)])
+def test_draw_tuples_distinct_uniform(n, m):
+    draws = talagrand._draw_tuples(np.random.default_rng(0), n, m, 200_000, True)
+    assert draws.shape == (200_000, m)
+    ordered = np.sort(draws, axis=1)
+    assert (ordered[:, 1:] != ordered[:, :-1]).all()
+    codes = draws @ (n ** np.arange(m))
+    counts = np.bincount(codes, minlength=n**m)
+    injective = [sum(c * n**i for i, c in enumerate(w))
+                 for w in itertools.permutations(range(n), m)]
+    assert counts.sum() == counts[injective].sum()
+    assert _chi_square_p(counts[injective]) > 1e-3
+
+
+def test_draw_tuples_free_uniform():
+    draws = talagrand._draw_tuples(np.random.default_rng(0), 5, 3, 200_000, False)
+    counts = np.bincount(draws @ (5 ** np.arange(3)), minlength=125)
+    assert _chi_square_p(counts) > 1e-3
+
+
+def _sparse_wide_table() -> EvalTable:
+    # every cell in columns 0..55 is neither low nor high, so all the
+    # alternation lies past bit 63 of a row mask
+    rng = np.random.default_rng(31)
+    entries = np.zeros((9, 70))
+    entries[:, 56:] = rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], size=(9, 14))
+    return EvalTable(entries, bound=1.0)
+
+
+@pytest.mark.parametrize("distinct", [True, False])
+def test_dk_mc_within_five_standard_errors(distinct):
+    t = _sparse_wide_table()
+    th = ThresholdPair(-0.5, 0.5)
+    samples = 20_000
+    for E in ([0, 2, 3, 5, 6, 8], [8, 1, 2, 4, 5, 7, 0]):
+        for k in (1, 2, 3):
+            exact = dk_count(t, E, k, th, distinct_coords=distinct)
+            mc = dk_count(t, E, k, th, distinct_coords=distinct, mode="mc", seed=k,
+                          samples=samples)
+            space = math.perm(len(E), 2 * k) if distinct else len(E) ** (2 * k)
+            p = exact.count / space
+            assert abs(mc.count - exact.count) <= 5 * math.sqrt(p * (1 - p) / samples) * space
+
+
+def test_shattered_fraction_mc_within_five_standard_errors():
+    rng = np.random.default_rng(5)
+    tables = [_sparse_wide_table(),
+              EvalTable(rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], size=(9, 20),
+                                   p=[0.3, 0.15, 0.1, 0.15, 0.3]), bound=1.0)]
+    th = ThresholdPair(-0.5, 0.5)
+    samples = 20_000
+    for t in tables:
+        for n in (1, 2, 3):
+            for strict in (False, True):
+                p = shattered_tuple_fraction(t, range(9), n, th, strict=strict)
+                est = shattered_tuple_fraction(t, range(9), n, th, strict=strict, mode="mc",
+                                               seed=n, samples=samples)
+                assert abs(est - p) <= 5 * math.sqrt(p * (1 - p) / samples)
+
+
+def test_mc_reproducible_across_blocks():
+    # 4096 columns, of which eight hold low or high cells
+    rng = np.random.default_rng(17)
+    entries = np.zeros((8, 4096))
+    entries[:, 511::512] = rng.choice([-1.0, 1.0], size=(8, 8))
+    t = EvalTable(entries, bound=1.0)
+    th = ThresholdPair(-0.5, 0.5)
+    samples = 4000
+    # more than two blocks of samples in both counts
+    assert samples > 2 * talagrand._block_rows(2 + 4096 // 8)
+    assert samples > 2 * talagrand._block_rows(2 * 4096)
+    runs = [(dk_count(t, range(8), 1, th, mode="mc", seed=9, samples=samples).count,
+             shattered_tuple_fraction(t, range(8), 2, th, mode="mc", seed=9, samples=samples))
+            for _ in range(2)]
+    assert runs[0] == runs[1]
+    assert 0 < runs[0][0] < math.perm(8, 2) and 0 < runs[0][1] < 1
+    other = dk_count(t, range(8), 1, th, mode="mc", seed=10, samples=samples).count
+    assert other != runs[0][0]
+
+
+def test_mc_memory_independent_of_samples():
+    # one unblocked pass would hold at least 10^5 x 512 packed bytes per
+    # temporary for the count and 10^4 x 4096 int64 codes for the fraction
+    t = random_table(4, 4096, seed=7)
+    th = ThresholdPair(0.0, 1.0)
+    tracemalloc.start()
+    try:
+        dk_count(t, range(4), 1, th, mode="mc", seed=1, samples=10**5)
+        shattered_tuple_fraction(t, range(4), 2, th, mode="mc", seed=1, samples=10**4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
