@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .core import EvalTable
 from .errors import BoundViolation, EmptySelection, IndexOutOfRange, SolverFailure
@@ -89,6 +88,9 @@ def mazur_approximate(
     A_eq[0, :k] = 1.0
     b_eq = np.array([1.0])
     bounds = [(0.0, None)] * k + [(0.0, None)]
+    # deferred: scipy.optimize takes most of `import dividing_lines` otherwise
+    from scipy.optimize import linprog
+
     res = linprog(c_vec, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds,
                   method="highs")
     if res.status != 0:

@@ -9,16 +9,13 @@ from typing import Literal, Sequence
 import numpy as np
 
 from . import backend
-from .core import Epsilon, EvalTable, ThresholdPair, bitmasks
+from .core import Epsilon, EvalTable, ThresholdPair, bitmasks, column_blocks
 from .errors import IndexOutOfRange
 
 DEFAULT_EXACT_LIMIT = 10**6
 # nodes for the first forward ladder pass and for the transposed probe; most
 # ladder calls finish inside the first slice and never pay for the probe
 _LADDER_SLICE = 10**4
-# cells per broadcast block in `alternation_iii_masks` (a 128 KiB float64
-# temporary): bigger blocks measured slower from 64x64 tables up
-_III_BLOCK_CELLS = 2**14
 
 
 @dataclass(frozen=True)
@@ -232,15 +229,12 @@ def alternation_ii_adjacency(t: EvalTable, e: Epsilon) -> list[int]:
 def alternation_iii_masks(t: EvalTable, e: Epsilon) -> list[list[int]]:
     """Separation masks of alternation iii: sep[j][i] has bit c set iff
     |T[i][c] - T[i][j]| >= eps.  One broadcast and one `bitmasks` call per
-    block of columns j, split per column afterwards; a block spans at most
-    `_III_BLOCK_CELLS` cells, so the float temporary stays small at any
-    table size."""
+    block of columns j (`column_blocks`), split per column afterwards."""
     vals = t.entries
-    step = max(1, _III_BLOCK_CELLS // (t.n_rows * t.n_cols))
     masks = []
-    for lo in range(0, t.n_cols, step):
-        # flags[j - lo, i, c] = |T[i][c] - T[i][j]| >= eps
-        flags = np.abs(vals[None, :, :] - vals.T[lo : lo + step, :, None]) >= e.eps
+    for block in column_blocks(t):
+        # flags[j - block.start, i, c] = |T[i][c] - T[i][j]| >= eps
+        flags = np.abs(vals[None, :, :] - vals.T[block, :, None]) >= e.eps
         masks += bitmasks(flags.reshape(-1, t.n_cols))
     return [masks[j * t.n_rows : (j + 1) * t.n_rows] for j in range(t.n_cols)]
 

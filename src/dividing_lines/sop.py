@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Epsilon, EvalTable
+from .core import Epsilon, EvalTable, bitmasks, column_blocks
 from .errors import IndexOutOfRange, InvalidWitness, SearchBudgetExceeded
 from .op import DEFAULT_EXACT_LIMIT, AlternationWitness
 
@@ -98,53 +98,88 @@ class StrictChainResult:
 
 
 def preorder_psi(t: EvalTable) -> PreorderMatrix:
-    """The truncated-difference pre-order matrix over columns."""
-    cols = t.entries[:, :, None]  # rows x c1 x 1
-    diffs = cols - t.entries[:, None, :]  # rows x c1 x c2
-    psi = np.maximum(diffs, 0.0).max(axis=0)
+    """The truncated-difference pre-order matrix over columns.
+
+    Built one block of columns c1 at a time (`column_blocks`), so it costs
+    O(rows * cols^2) time and holds cols^2 floats plus one small block
+    temporary, never a rows x cols x cols array."""
+    vals = t.entries
+    psi = np.empty((t.n_cols, t.n_cols))
+    for block in column_blocks(t):
+        diffs = vals[:, block, None] - vals[:, None, :]  # rows x c1 x c2
+        psi[block] = np.maximum(diffs, 0.0).max(axis=0)
     np.fill_diagonal(psi, 0.0)
     psi.setflags(write=False)
     return PreorderMatrix(psi)
 
 
+def _above_masks(t: EvalTable) -> list[int]:
+    """above[c] has bit c2 set iff c2 != c and column c <= column c2
+    pointwise."""
+    flags = preorder_psi(t).psi <= 0
+    np.fill_diagonal(flags, False)
+    return bitmasks(flags)
+
+
+def _low_bit(mask: int) -> int:
+    """The index of the lowest set bit of a nonzero mask."""
+    return (mask & -mask).bit_length() - 1
+
+
+def _bits(mask: int):
+    """The set bits of mask, in ascending order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def strict_chain(t: EvalTable, e: Epsilon) -> StrictChainResult:
     """Longest column chain under pointwise <= with an eps-gap row per step.
 
-    Edge c -> c' exists iff psi[c][c'] = 0 and some row p has
-    T[p][c'] >= T[p][c] + eps.  A strict edge is incompatible with mutual
-    pointwise domination, so the edge graph is acyclic and the longest
-    path is exact in polynomial time.  m >= 1 always.
+    Edge c -> c' exists iff column c <= column c' pointwise and some row p
+    has T[p][c'] >= T[p][c] + eps.  An edge's target has strictly fewer
+    columns above it than its source, so one pass over the columns in
+    ascending count of columns above finds the longest path from each,
+    without recursion and so without a depth limit.  Ties go to the lowest
+    column index, at the start and at each step.  It costs O(rows * cols^2)
+    time and cols^2 floats (`preorder_psi`), plus O(cols * m) operations
+    on cols-bit masks.  m >= 1 always.
     """
-    psi = preorder_psi(t).psi
-    n = t.n_cols
-    edges: dict[int, list[tuple[int, int]]] = {c: [] for c in range(n)}
-    for c1 in range(n):
-        for c2 in range(n):
-            if c1 != c2 and psi[c1, c2] <= 0:
-                gaps = np.flatnonzero(t.entries[:, c2] >= t.entries[:, c1] + e.eps)
-                if gaps.size:
-                    edges[c1].append((c2, int(gaps[0])))
+    vals = t.entries
+    above = _above_masks(t)
+    gaps: list[int] = []
+    for block in column_blocks(t):
+        # flags[c - block.start, c2] = some row p has T[p][c2] >= T[p][c] + eps
+        flags = (vals[:, None, :] >= vals[:, block, None] + e.eps).any(axis=0)
+        gaps += bitmasks(flags)
 
-    best_from: dict[int, tuple[int, tuple[int, ...], tuple[int, ...]]] = {}
+    # ends[l] has bit c set iff the longest path from column c has l columns;
+    # a column's successor is the lowest-index one in the longest class it
+    # reaches, which is the first strictly longer one in ascending order
+    ends = [0]
+    nxt = [-1] * t.n_cols
+    for c in sorted(range(t.n_cols), key=lambda c: above[c].bit_count()):
+        succ = above[c] & gaps[c]
+        l = len(ends) - 1
+        while l and not succ & ends[l]:
+            l -= 1
+        if l:
+            nxt[c] = _low_bit(succ & ends[l])
+        if l + 1 == len(ends):
+            ends.append(0)
+        ends[l + 1] |= 1 << c
 
-    def walk(c: int):
-        if c in best_from:
-            return best_from[c]
-        best = (1, (c,), ())
-        for c2, gap_row in sorted(edges[c]):
-            m2, cols2, rows2 = walk(c2)
-            cand = (m2 + 1, (c,) + cols2, (gap_row,) + rows2)
-            if cand[0] > best[0]:
-                best = cand
-        best_from[c] = best
-        return best
-
-    best = (0, (), ())
-    for c in range(n):
-        cand = walk(c)
-        if cand[0] > best[0]:
-            best = cand
-    return StrictChainResult(*best)
+    c = _low_bit(ends[-1])
+    cols = [c]
+    while nxt[c] >= 0:
+        c = nxt[c]
+        cols.append(c)
+    step_rows = tuple(
+        int(np.flatnonzero(vals[:, c2] >= vals[:, c] + e.eps)[0])
+        for c, c2 in zip(cols, cols[1:])
+    )
+    return StrictChainResult(len(cols), tuple(cols), step_rows)
 
 
 def sop_witness(
@@ -156,53 +191,66 @@ def sop_witness(
     """Backtracking search for a literal chain witness of length >= target_m.
 
     Column chains are restricted to the pointwise pre-order; rows are
-    assigned greedily with full backtracking.  Returns None only when the
-    exhaustive search finishes below the node budget; raises
+    assigned greedily with full backtracking, columns and then rows in
+    ascending index order.  Each (column, row) pair tried costs one node.
+    A chain is not extended when its unused rows or the unused columns
+    above its last column are too few to reach target_m.  The search keeps
+    an explicit stack, so chain length has no depth limit.  Returns None
+    only when the exhaustive search finishes below the node budget; raises
     SearchBudgetExceeded otherwise.
     """
     if target_m < 2:
         raise ValueError("target_m must be >= 2")
-    psi = preorder_psi(t).psi
-    vals = t.entries
-    n_cols, n_rows = t.n_cols, t.n_rows
+    above = _above_masks(t)
+    rows = t.entries.tolist()
+    eps = e.eps
     nodes = 0
-
     chain_cols: list[int] = []
     chain_rows: list[int] = []
 
-    def rec() -> ChainWitness | None:
+    def steps():
+        """The (c, w) pairs that extend the current chain, in search order."""
         nonlocal nodes
-        if len(chain_cols) >= target_m:
-            return ChainWitness(tuple(chain_cols), tuple(chain_rows), e)
-        for c in range(n_cols):
-            if c in chain_cols:
-                continue
-            if chain_cols and not (psi[chain_cols[-1], c] <= 0):
-                continue
-            for w in range(n_rows):
-                if w in chain_rows:
-                    continue
+        k = len(chain_cols)
+        if k:
+            free_cols = above[chain_cols[-1]]
+            for c in chain_cols:
+                free_cols &= ~(1 << c)
+        else:
+            free_cols = (1 << t.n_cols) - 1
+        if k + min(t.n_rows - k, free_cols.bit_count()) < target_m:
+            return
+        used_rows = set(chain_rows)
+        free_rows = [w for w in range(t.n_rows) if w not in used_rows]
+        prefix = list(zip(chain_cols, chain_rows))
+        for c in _bits(free_cols):
+            tops = [(cc, rows[ww][c]) for cc, ww in prefix]
+            for w in free_rows:
                 nodes += 1
                 if nodes > exact_limit:
-                    raise SearchBudgetExceeded(
-                        f"sop_witness budget {exact_limit} exhausted"
-                    )
-                ok = True
-                for tt in range(len(chain_cols)):
-                    if not (vals[w, chain_cols[tt]] + e.eps < vals[chain_rows[tt], c]):
-                        ok = False
+                    raise SearchBudgetExceeded(f"sop_witness budget {exact_limit} exhausted")
+                row = rows[w]
+                for cc, top in tops:
+                    if not (row[cc] + eps < top):
                         break
-                if ok:
-                    chain_cols.append(c)
-                    chain_rows.append(w)
-                    found = rec()
-                    if found is not None:
-                        return found
-                    chain_cols.pop()
-                    chain_rows.pop()
-        return None
+                else:
+                    yield c, w
 
-    return rec()
+    stack = [steps()]
+    while stack:
+        step = next(stack[-1], None)
+        if step is None:
+            stack.pop()
+            if chain_cols:
+                chain_cols.pop()
+                chain_rows.pop()
+            continue
+        chain_cols.append(step[0])
+        chain_rows.append(step[1])
+        if len(chain_cols) >= target_m:
+            return ChainWitness(tuple(chain_cols), tuple(chain_rows), e)
+        stack.append(steps())
+    return None
 
 
 def sop_to_alternation(w: ChainWitness, t: EvalTable) -> AlternationWitness:

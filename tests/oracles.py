@@ -335,3 +335,39 @@ def allpairs_spectrum(t, max_len: int, exact_limit: int = 10**6) -> list[tuple[i
                 if gap > best_gap.get(length, -float("inf")):
                     best_gap[length] = gap
     return [(length, best_gap.get(length)) for length in range(2, max_len + 1)]
+
+
+def recursive_strict_chain(t, eps: float) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """(m, cols, step_rows) of the longest strict chain by the earlier
+    recursive search: the full truncated-difference cube, one edge list per
+    column, and a memoized depth-first longest path that keeps the first
+    strictly longer successor in ascending column order.  It pins which
+    chain `strict_chain` reports, not only its length.  Recursion depth and
+    the rows x cols x cols cube limit it to small tables."""
+    vals = t.entries
+    n = vals.shape[1]
+    psi = np.maximum(vals[:, :, None] - vals[:, None, :], 0.0).max(axis=0)
+    edges = {c: [] for c in range(n)}
+    for c1 in range(n):
+        for c2 in range(n):
+            if c1 != c2 and psi[c1, c2] <= 0:
+                gaps = np.flatnonzero(vals[:, c2] >= vals[:, c1] + eps)
+                if gaps.size:
+                    edges[c1].append((c2, int(gaps[0])))
+    best_from = {}
+
+    def walk(c):
+        if c not in best_from:
+            best = (1, (c,), ())
+            for c2, gap_row in edges[c]:
+                m2, cols2, rows2 = walk(c2)
+                if m2 + 1 > best[0]:
+                    best = (m2 + 1, (c,) + cols2, (gap_row,) + rows2)
+            best_from[c] = best
+        return best_from[c]
+
+    best = (0, (), ())
+    for c in range(n):
+        if walk(c)[0] > best[0]:
+            best = walk(c)
+    return best

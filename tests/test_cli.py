@@ -87,6 +87,17 @@ def test_analyze_text_output(tmp_path, capsys):
     assert "ladder:" in out and "{" not in out.splitlines()[0]
 
 
+def test_analyze_chain_longer_than_recursion_limit(tmp_path, capsys):
+    # row 0 rises by 1/1100 per column: a strict chain through all 1100 columns
+    p = tmp_path / "t.csv"
+    p.write_text(",".join(str(j / 1100) for j in range(1100)) + "\n" + ",".join("0" * 1100) + "\n")
+    code, out, err = run(capsys, "analyze", "--input", str(p), "--s", "0.2", "--r", "0.8",
+                         "--eps", "0.0004", "--kmax", "1")
+    assert code == EXIT_OK, err
+    doc = json.loads(out)
+    assert doc["strict_chain"]["m"] == 1100 and not doc["errors"]
+
+
 def test_generate_cantor_with_target(tmp_path, capsys):
     table = tmp_path / "c.json"
     target = tmp_path / "target.json"

@@ -1,8 +1,14 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import dividing_lines
 import oracles as orc
 from dividing_lines import cesaro_column, half_graph, mazur_approximate, random_table
 from dividing_lines.errors import BoundViolation, EmptySelection, IndexOutOfRange
@@ -97,3 +103,13 @@ def test_mazur_validation():
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(BoundViolation, match="target entries must be finite"):
             mazur_approximate(t, [0], [0.0, bad, 0.0, 0.0])
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy.optimize is imported on the first mazur_approximate call only
+    src = str(Path(dividing_lines.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, dividing_lines; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"

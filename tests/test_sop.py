@@ -1,19 +1,25 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import oracles as orc
 from dividing_lines import (
     ChainWitness,
+    ClassifyParams,
     Epsilon,
     EvalTable,
+    classify,
+    full_pattern,
     half_graph,
     preorder_psi,
     random_table,
     sop_to_alternation,
     sop_witness,
     strict_chain,
+    transpose,
 )
 from dividing_lines.errors import SearchBudgetExceeded
 
@@ -37,11 +43,84 @@ def test_psi_pointwise_domination(tbl):
 
 
 def test_strict_chain_half_graph():
-    # hg columns are pointwise nondecreasing left to right with unit gaps
-    for n in (2, 4, 6):
+    # hg columns are pointwise nondecreasing left to right with unit gaps,
+    # and right to left in the transpose
+    for n in (2, 4, 6, 31, 32, 33, 63, 64, 65, 128):
         res = strict_chain(half_graph(n), E1)
         assert res.m == n
         assert res.cols == tuple(range(n))
+        res = strict_chain(transpose(half_graph(n)), E1)
+        assert res.m == n
+        assert res.cols == tuple(range(n - 1, -1, -1))
+
+
+def _chain_corpus():
+    """Small tables of every kind the chain search must agree on: ties and
+    rounded values, duplicated columns, half graphs and their transposes
+    across the word boundaries, and full patterns."""
+    rng = np.random.default_rng(11)
+    out = []
+    for i in range(370):
+        n_rows, n_cols = int(rng.integers(1, 33)), int(rng.integers(1, 41))
+        if i % 3 == 0:
+            levels = int(rng.integers(2, 6))
+            vals = rng.integers(0, levels, size=(n_rows, n_cols)) / (levels - 1)
+        elif i % 3 == 1:
+            vals = np.round(rng.random((n_rows, n_cols)), 1)
+        else:
+            base = np.round(rng.random((n_rows, max(1, n_cols // 2))), 1)
+            vals = base[:, rng.integers(0, base.shape[1], size=n_cols)]
+        out.append(EvalTable(vals, bound=1.0))
+    for n in (1, 2, 3, 5, 8, 31, 32, 33, 63, 64, 65, 128):
+        out += [half_graph(n), transpose(half_graph(n))]
+    for k in range(1, 7):
+        out += [full_pattern(k), transpose(full_pattern(k))]
+    return out
+
+
+def test_strict_chain_matches_recursive_reference():
+    corpus = _chain_corpus()
+    assert len(corpus) >= 400
+    for idx, t in enumerate(corpus):
+        for eps in (0.1, 0.5, 1.0):
+            res = strict_chain(t, Epsilon(eps))
+            assert (res.m, res.cols, res.step_rows) == orc.recursive_strict_chain(t, eps), (idx, eps)
+
+
+def _long_chain_table(n=1100):
+    """2 x n: row 0 rises by 1/n per column and row 1 is flat, so every
+    column sits below the next with a gap of 1/n in row 0."""
+    return EvalTable(np.vstack([np.arange(n) / n, np.zeros(n)]), bound=1.0)
+
+
+def test_strict_chain_longer_than_recursion_limit():
+    res = strict_chain(_long_chain_table(), Epsilon(0.0004))
+    assert res.m == 1100
+    assert res.cols == tuple(range(1100))
+    assert res.step_rows == (0,) * 1099
+
+
+def test_classify_long_chain():
+    report = classify(_long_chain_table(), ClassifyParams(s=0.2, r=0.8, eps=0.0004, k_max=1))
+    assert not report.errors
+    assert report.sections["strict_chain"]["m"] == 1100
+    assert report.sections["sop_literal"]["status"] == "none"
+
+
+def test_chain_detectors_memory():
+    t = random_table(256, 256, "uniform", seed=[0, 256, 99])
+    for call in (
+        lambda: preorder_psi(t),
+        lambda: strict_chain(t, Epsilon(0.05)),
+        lambda: sop_witness(t, Epsilon(0.05), 3),
+    ):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 def test_strict_chain_floor_one(tbl):
@@ -98,6 +177,20 @@ def test_sop_witness_budget():
     t = random_table(10, 10, seed=1)
     with pytest.raises(SearchBudgetExceeded):
         sop_witness(t, Epsilon(0.9), 9, exact_limit=5)
+
+
+def test_sop_witness_cuts_unreachable_targets():
+    # past min(rows, cols) no chain can reach the target, so the search
+    # ends at once instead of exhausting its budget
+    t = random_table(10, 10, seed=1)
+    assert sop_witness(t, Epsilon(0.1), 11, exact_limit=5) is None
+
+
+def test_sop_witness_longer_than_recursion_limit():
+    t = half_graph(1001)
+    w = sop_witness(t, Epsilon(0.5), 1001)
+    assert w is not None and w.length == 1001
+    assert w.is_valid(t)
 
 
 def test_sop_witness_target_validation():
