@@ -7,14 +7,29 @@ order and the first witness found at the record length is kept, which
 makes it the lexicographically smallest maximal witness.
 
 All functions report `exact=False` (lower bounds only) once the node
-budget is exhausted.  The ladder, clique and alternation iii searches also
-stop, exact, as soon as the record reaches a proven maximum (at most one
-row and one column per step or cell), so a search that finds the optimum
-early does not spend its budget proving it.  In the ladder search a row
-whose every child the bound cuts spends no node, and each (i, j) tried
-costs one, so a larger budget only walks further along the same search.
+budget is exhausted.  The budget cuts one fixed search short, so a larger
+budget only walks further along the same search.  What costs a node:
+
+- `ladder_search`: each (i, j) tried; a row whose every child the bound
+  cuts spends none.
+- `clique_search`: each vertex tried; a state whose candidates, counted
+  by popcount and by the rows and the columns they hit, cannot beat the
+  record spends none.
+- `alternation_iii_search`: each row tried and each (i, j) tried; a state
+  whose reach bound (free rows, candidate columns, and the columns each
+  free row allows) cannot beat the record spends none.
+- `shatter_dim_search`: each column tried.
+
+Bound cuts only drop subtrees that cannot beat the record, so they never
+change the witness an exact search returns.  The ladder, clique and
+alternation iii searches also stop, exact, as soon as the record reaches a
+proven maximum (at most one row and one column per step or cell), so a
+search that finds the optimum early does not spend its budget proving it.
 """
 from __future__ import annotations
+
+from itertools import count
+from operator import add
 
 BACKEND_NAME = "python"
 
@@ -122,35 +137,77 @@ def ladder_search(
     return best_len, best_rows, best_cols, exact
 
 
-def clique_search(adj: list[int], budget: int, cap: int):
+def clique_search(adj: list[int], budget: int, cap: int, n_cols: int):
     """Largest clique in a compatibility graph given as adjacency bitmasks.
 
-    Vertices are tried in ascending order, and the search ends exact once
-    the record reaches `cap`, a proven upper bound on the clique size.
+    Vertex v = i * n_cols + j is the cell (i, j) of a table, and a clique
+    takes at most one cell per row and per column.  Each vertex tried costs
+    one node.  A child whose candidates, counted by popcount, cannot lift it
+    past the record is not entered; a state whose candidates hit too few
+    rows or too few columns (Tomita and Seki's colouring bound, with the
+    rows and the columns as the two colourings) is cut; and the vertex loop
+    stops once the candidates at or above v cannot beat the record
+    (Carraghan and Pardalos).  The cuts only drop subtrees that cannot beat
+    the record, so vertices are still tried in ascending order and the
+    first maximum clique found is the lexicographically first one.  The
+    search ends exact once the record reaches `cap`, a proven upper bound
+    on the clique size.
     Returns (size, vertices, exact).
     """
     n = len(adj)
+    n_rows = n // n_cols
+    # bit 0 of every row's n_cols-bit chunk; after the folds, which OR each
+    # bit with the ones above it in its chunk, bit 0 says the row is hit
+    row_lows = sum(1 << (i * n_cols) for i in range(n_rows))
+    row_folds = []
+    shift = 1
+    while shift < n_cols:
+        row_folds.append((shift, row_lows * ((1 << (n_cols - shift)) - 1)))
+        shift *= 2
+    # each halving ORs the upper chunks onto the lower ones, ending on one
+    # chunk that holds the columns hit
+    col_folds = []
+    chunks = n_rows
+    while chunks > 1:
+        chunks = (chunks + 1) // 2
+        col_folds.append((chunks * n_cols, (1 << (chunks * n_cols)) - 1))
     best_size = 0
     best: tuple[int, ...] = ()
     nodes = 0
 
     def rec(cand: int, chosen: list[int]):
+        # callers enter a state only if depth + popcount(cand) beats best_size
         nonlocal best_size, best, nodes
-        if len(chosen) > best_size:
-            best_size = len(chosen)
+        depth = len(chosen)
+        if depth > best_size:
+            best_size = depth
             best = tuple(chosen)
             if best_size >= cap:
                 raise _Optimal
-        if len(chosen) + cand.bit_count() <= best_size:
+        rows = cand
+        for shift, keep in row_folds:
+            rows |= (rows >> shift) & keep
+        if depth + (rows & row_lows).bit_count() <= best_size:
             return
-        for v in _iter_bits(cand):
+        cols = cand
+        for shift, low in col_folds:
+            cols = (cols & low) | (cols >> shift)
+        if depth + cols.bit_count() <= best_size:
+            return
+        rest = cand
+        # a child of v draws only from the candidates above v
+        while depth + rest.bit_count() > best_size:
+            low = rest & -rest
+            v = low.bit_length() - 1
+            rest ^= low
             nodes += 1
             if nodes > budget:
                 raise _BudgetHit
-            chosen.append(v)
-            higher = ~((1 << (v + 1)) - 1)
-            rec(cand & adj[v] & higher, chosen)
-            chosen.pop()
+            child = rest & adj[v]
+            if depth + 1 + child.bit_count() > best_size:
+                chosen.append(v)
+                rec(child, chosen)
+                chosen.pop()
 
     exact = True
     try:
@@ -169,7 +226,9 @@ def alternation_iii_search(sep_by_col: list[list[int]], n_cols: int, budget: int
     Valid iff for all t < u < v: bit j_v is set in sep_by_col[j_t][i_u],
     with row and column indices each used at most once.  Each row tried
     and each (i, j) extension tried counts as one node, so a row whose
-    extensions the bound cuts all at once still spends budget.
+    extensions the bound cuts all at once still spends budget.  A state
+    whose reach bound cannot beat the record is cut before any row is
+    tried, and spends none.
     Returns (length, pairs, exact).
     """
     n_rows = len(sep_by_col[0])
@@ -192,6 +251,15 @@ def alternation_iii_search(sep_by_col: list[list[int]], n_cols: int, budget: int
         # (i, j) leaves cand & pend[i] & ~j and row masks pend & sep_by_col[j]
         nonlocal best_len, best, nodes
         depth = len(pairs) + 1
+        allowed_by_row = [cand & pend[i] for i in rows_left]
+        # the k-th row of a tail of length R is a middle row for the R - k
+        # columns after it, all in its allowed mask; with a_1 >= a_2 >= ...
+        # the allowed popcounts, at most k - 1 rows have more than a_k, so
+        # R <= a_k + k for every k
+        counts = sorted(map(int.bit_count, allowed_by_row), reverse=True)
+        reach = min(len(rows_left), cand.bit_count(), min(map(add, counts, count(1))))
+        if depth - 1 + reach <= best_len:
+            return
         free_rows = len(rows_left) - 1
         cand_cols = list(_iter_bits(cand))
         child_pend: dict[int, list[int]] = {}
@@ -204,7 +272,7 @@ def alternation_iii_search(sep_by_col: list[list[int]], n_cols: int, budget: int
             nodes += 1
             if nodes > budget:
                 raise _BudgetHit
-            allowed = cand & pend[i]
+            allowed = allowed_by_row[k]
             if allowed.bit_count() <= slack:
                 continue
             rows = used_rows | (1 << i)

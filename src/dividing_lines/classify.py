@@ -152,14 +152,17 @@ def classify(t: EvalTable, params: ClassifyParams = ClassifyParams()) -> Classif
 
         return go
 
+    # the column pre-order both chain detectors search
+    above = sop._above_masks(t)
+
     def run_chain():
-        res = sop.strict_chain(t, eps)
+        res = sop._strict_chain(t, eps, above)
         return {"m": res.m, "cols": list(res.cols), "step_rows": list(res.step_rows),
                 "exact": True}
 
     def run_sop_literal():
         try:
-            w = sop.sop_witness(t, eps, max(2, params.min_chain), params.exact_limit)
+            w = sop._sop_witness(t, eps, max(2, params.min_chain), params.exact_limit, above)
         except SearchBudgetExceeded:
             return {"status": "budget_exceeded", "witness": None}
         if w is None:

@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import BoundViolation, EmptyTable, ParseError, ShapeMismatch
 
-# cells per block of `column_blocks` (a 128 KiB float64 temporary): bigger
-# blocks measured slower from 64x64 tables up
+# cells per block of `blocks` (a 128 KiB float64 temporary): bigger blocks
+# measured slower from 64x64 tables up
 _BLOCK_CELLS = 2**14
 
 
@@ -178,14 +178,19 @@ def bitmasks(flags) -> list[int]:
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
+def blocks(n: int, cells: int) -> list[slice]:
+    """Consecutive slices of range(n) for a blocked broadcast in which each
+    index brings a temporary of `cells` cells: a block's temporary spans at
+    most `_BLOCK_CELLS` cells (or one index, when a single index's temporary
+    is already larger), so its size stays small at any table size."""
+    step = max(1, _BLOCK_CELLS // cells)
+    return [slice(lo, lo + step) for lo in range(0, n, step)]
+
+
 def column_blocks(t: EvalTable) -> list[slice]:
-    """Consecutive column slices for a blocked broadcast of one block of
-    columns against the whole table: a block's rows x block x cols
-    temporary spans at most `_BLOCK_CELLS` cells (or one column, when a
-    single column's temporary is already larger), so its size stays small
-    at any table size."""
-    step = max(1, _BLOCK_CELLS // (t.n_rows * t.n_cols))
-    return [slice(lo, lo + step) for lo in range(0, t.n_cols, step)]
+    """`blocks` of columns for a broadcast of one block of columns against
+    the whole table, a rows x block x cols temporary."""
+    return blocks(t.n_cols, t.n_rows * t.n_cols)
 
 
 def serialize(t: EvalTable) -> str:

@@ -9,7 +9,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from . import backend
-from .core import Epsilon, EvalTable, ThresholdPair, bitmasks, column_blocks
+from .core import Epsilon, EvalTable, ThresholdPair, bitmasks, blocks, column_blocks
 from .errors import IndexOutOfRange
 
 DEFAULT_EXACT_LIMIT = 10**6
@@ -212,17 +212,19 @@ def _ladder(
 def alternation_ii_adjacency(t: EvalTable, e: Epsilon) -> list[int]:
     """Compatibility graph of alternation ii on the cells (i, j), numbered
     v = i * n_cols + j: bit u of mask v is set iff the cells share no row or
-    column and |T[i1][j2] - T[i2][j1]| >= eps.  Built one row i1 at a time,
-    so memory stays O(n_rows * n_cols^2)."""
+    column and |T[i1][j2] - T[i2][j1]| >= eps.  One broadcast and one
+    `bitmasks` call per block of rows i1 (`blocks`, n_cols x n_rows x n_cols
+    cells per row), so a temporary stays small at any table size."""
     vals = t.entries
     cols = np.arange(t.n_cols)
     adj = []
-    for i1 in range(t.n_rows):
-        # flags[j1, i2, j2] = |T[i1][j2] - T[i2][j1]| >= eps
-        flags = np.abs(vals[i1][None, None, :] - vals.T[:, :, None]) >= e.eps
-        flags[:, i1, :] = False
-        flags[cols, :, cols] = False
-        adj += bitmasks(flags.reshape(t.n_cols, -1))
+    for block in blocks(t.n_rows, t.n_cols * t.n_rows * t.n_cols):
+        # flags[i1 - block.start, j1, i2, j2] = |T[i1][j2] - T[i2][j1]| >= eps
+        flags = np.abs(vals[block, None, None, :] - vals.T[None, :, :, None]) >= e.eps
+        k = np.arange(len(flags))
+        flags[k, :, block.start + k, :] = False
+        flags[:, cols, :, cols] = False
+        adj += bitmasks(flags.reshape(-1, t.n_rows * t.n_cols))
     return adj
 
 
@@ -250,7 +252,7 @@ def alternation_rank(
         adj = alternation_ii_adjacency(t, e)
         # a clique uses at most one cell per row and per column
         cap = min(t.n_rows, t.n_cols)
-        size, verts, exact = backend.clique_search(adj, exact_limit, cap)
+        size, verts, exact = backend.clique_search(adj, exact_limit, cap, t.n_cols)
         pairs = tuple(divmod(v, t.n_cols) for v in verts)
         if size == 0:
             size, pairs = 1, ((0, 0),)

@@ -146,8 +146,12 @@ def strict_chain(t: EvalTable, e: Epsilon) -> StrictChainResult:
     time and cols^2 floats (`preorder_psi`), plus O(cols * m) operations
     on cols-bit masks.  m >= 1 always.
     """
+    return _strict_chain(t, e, _above_masks(t))
+
+
+def _strict_chain(t: EvalTable, e: Epsilon, above: list[int]) -> StrictChainResult:
+    """`strict_chain` on the `_above_masks` the caller built."""
     vals = t.entries
-    above = _above_masks(t)
     gaps: list[int] = []
     for block in column_blocks(t):
         # flags[c - block.start, c2] = some row p has T[p][c2] >= T[p][c] + eps
@@ -193,15 +197,22 @@ def sop_witness(
     Column chains are restricted to the pointwise pre-order; rows are
     assigned greedily with full backtracking, columns and then rows in
     ascending index order.  Each (column, row) pair tried costs one node.
-    A chain is not extended when its unused rows or the unused columns
-    above its last column are too few to reach target_m.  The search keeps
-    an explicit stack, so chain length has no depth limit.  Returns None
+    A chain is not extended, and a column's rows are not charged, when the
+    unused rows or the unused columns above its last column would be too
+    few to reach target_m.  The search keeps an explicit stack, so chain
+    length has no depth limit.  Returns None
     only when the exhaustive search finishes below the node budget; raises
     SearchBudgetExceeded otherwise.
     """
     if target_m < 2:
         raise ValueError("target_m must be >= 2")
-    above = _above_masks(t)
+    return _sop_witness(t, e, target_m, exact_limit, _above_masks(t))
+
+
+def _sop_witness(
+    t: EvalTable, e: Epsilon, target_m: int, exact_limit: int, above: list[int]
+) -> ChainWitness | None:
+    """`sop_witness` on the `_above_masks` the caller built."""
     rows = t.entries.tolist()
     eps = e.eps
     nodes = 0
@@ -212,18 +223,18 @@ def sop_witness(
         """The (c, w) pairs that extend the current chain, in search order."""
         nonlocal nodes
         k = len(chain_cols)
-        if k:
-            free_cols = above[chain_cols[-1]]
-            for c in chain_cols:
-                free_cols &= ~(1 << c)
-        else:
-            free_cols = (1 << t.n_cols) - 1
+        unused = ~sum(1 << c for c in chain_cols)
+        free_cols = above[chain_cols[-1]] & unused if k else (1 << t.n_cols) - 1
         if k + min(t.n_rows - k, free_cols.bit_count()) < target_m:
             return
         used_rows = set(chain_rows)
         free_rows = [w for w in range(t.n_rows) if w not in used_rows]
         prefix = list(zip(chain_cols, chain_rows))
         for c in _bits(free_cols):
+            # the cut a chain ending in c would meet, applied before its rows
+            # are charged
+            if k + 1 + min(t.n_rows - k - 1, (above[c] & unused).bit_count()) < target_m:
+                continue
             tops = [(cc, rows[ww][c]) for cc, ww in prefix]
             for w in free_rows:
                 nodes += 1

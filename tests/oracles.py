@@ -95,6 +95,29 @@ def brute_alternation_ii(t, eps: float) -> int:
     return best
 
 
+def lexfirst_alternation_ii(t, eps: float) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """Rank and the first maximum-size valid pair set in ascending cell
+    order (cell (i, j) is number i * n_cols + j), i.e. the lexicographically
+    smallest one, found by exhaustive search over every valid set."""
+    vals = t.entries
+    n_rows, n_cols = vals.shape
+    cells = [(i, j) for i in range(n_rows) for j in range(n_cols)]
+    best: list[tuple[int, int]] = []
+
+    def extend(chosen, start):
+        nonlocal best
+        if len(chosen) > len(best):
+            best = chosen
+        for idx in range(start, len(cells)):
+            i, j = cells[idx]
+            if all(i != i2 and j != j2 and abs(vals[i2, j] - vals[i, j2]) >= eps
+                   for i2, j2 in chosen):
+                extend(chosen + [(i, j)], idx + 1)
+
+    extend([], 0)
+    return len(best), tuple(best)
+
+
 def brute_alternation_iii(t, eps: float) -> int:
     """Longest pair sequence (distinct rows, distinct cols) with
     |T[i_u][j_t] - T[i_u][j_v]| >= eps for all t < u < v."""

@@ -290,6 +290,48 @@ def test_alternation_witnesses_validate(tbl):
             assert res.witness.length == res.rank
 
 
+def test_alternation_ii_witness_is_lexfirst():
+    # an exact search returns the first maximum-size cell set in ascending
+    # cell order, the witness the frozen report digests carry
+    for seed in range(300):
+        rng = np.random.default_rng([seed, 6])
+        n_rows = int(rng.integers(1, 6))
+        n_cols = int(rng.integers(1, 20 // n_rows + 1))
+        if seed % 3 == 2:
+            t = EvalTable(rng.uniform(-1.0, 1.0, size=(n_rows, n_cols)), bound=1.0)
+            eps = 0.4
+        else:
+            t = EvalTable(rng.integers(0, 2, size=(n_rows, n_cols)).astype(float), bound=1.0)
+            eps = (0.5, 1.0)[seed % 3]
+        res = alternation_rank(t, Epsilon(eps), "ii")
+        rank, pairs = orc.lexfirst_alternation_ii(t, eps)
+        assert res.exact, seed
+        assert (res.rank, res.witness.pairs) == (rank, pairs), seed
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_alternation_ii_bernoulli_16x16_exact(seed):
+    t = random_table(16, 16, "bernoulli", seed=[seed, 16, 99])
+    res = alternation_rank(t, E1, "ii")
+    assert (res.rank, res.exact) == (10, True)
+    assert res.witness.is_valid(t) and res.witness.length == 10
+
+
+def test_clique_search_budget_monotone():
+    # the cuts only drop subtrees, so a larger budget walks a longer prefix
+    # of the same search and its clique never shrinks
+    t = random_table(16, 16, "bernoulli", seed=[0, 16, 99])
+    adj = op.alternation_ii_adjacency(t, E1)
+    budgets = (10, 100, 10**3, 10**4, 10**5, 10**6)
+    results = [backend.clique_search(adj, b, 16, t.n_cols) for b in budgets]
+    for small, large in zip(results, results[1:]):
+        assert small[0] <= large[0], results
+    assert not results[0][2] and results[-1][2]
+    for k, res in enumerate(results):
+        if res[2]:
+            assert all(later == res for later in results[k:])
+
+
 def test_alternation_ii_adjacency_matches_definition(tbl):
     rng = np.random.default_rng(11)
     tables = [rng.uniform(-1.0, 1.0, size=(5, 6)),

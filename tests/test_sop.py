@@ -176,7 +176,11 @@ def test_sop_witness_none_when_absent(tbl):
 def test_sop_witness_budget():
     t = random_table(10, 10, seed=1)
     with pytest.raises(SearchBudgetExceeded):
-        sop_witness(t, Epsilon(0.9), 9, exact_limit=5)
+        sop_witness(t, Epsilon(0.9), 3, exact_limit=5)
+    assert sop_witness(t, Epsilon(0.9), 3) is None
+    # only two columns have a column above them, so no 9-chain gets past
+    # the cut and no node is spent
+    assert sop_witness(t, Epsilon(0.9), 9, exact_limit=5) is None
 
 
 def test_sop_witness_cuts_unreachable_targets():
@@ -184,6 +188,13 @@ def test_sop_witness_cuts_unreachable_targets():
     # ends at once instead of exhausting its budget
     t = random_table(10, 10, seed=1)
     assert sop_witness(t, Epsilon(0.1), 11, exact_limit=5) is None
+
+
+def test_sop_witness_skips_columns_with_nothing_above():
+    # no column of the identity is pointwise below another, so every
+    # column is cut before its rows are charged and no node is spent
+    t = EvalTable(np.eye(40), bound=1.0)
+    assert sop_witness(t, E1, 3, exact_limit=1000) is None
 
 
 def test_sop_witness_longer_than_recursion_limit():
