@@ -338,6 +338,28 @@ def grid_minimax(A: np.ndarray, target: np.ndarray, step: float = 1e-3) -> float
     return float(np.min(np.max(np.abs(residuals), axis=1)))
 
 
+def linprog_minimax(A: np.ndarray, target: np.ndarray) -> float:
+    """min over the simplex of ||A w - target||_inf by scipy's HiGHS, on the
+    primal program (w and a bound z on the residual on both sides), the way
+    the library solved it before its own simplex."""
+    from scipy.optimize import linprog
+
+    n, k = A.shape
+    ones = np.ones((n, 1))
+    res = linprog(
+        np.r_[np.zeros(k), 1.0],
+        A_ub=np.block([[A, -ones], [-A, -ones]]),
+        b_ub=np.r_[target, -target],
+        A_eq=np.r_[np.ones(k), 0.0][None, :],
+        b_eq=[1.0],
+        bounds=[(0.0, None)] * (k + 1),
+        method="highs",
+    )
+    if res.status != 0:
+        raise RuntimeError(f"reference solve failed: {res.message}")
+    return float(res.fun)
+
+
 def allpairs_spectrum(t, max_len: int, exact_limit: int = 10**6) -> list[tuple[int, float | None]]:
     """Stability spectrum by one `max_ladder` call on every pair of distinct
     values, the scan the staircase walk replaced.  It checks the walk, not the
