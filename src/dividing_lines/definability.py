@@ -316,6 +316,8 @@ def mazur_approximate(
     2 n + k + 3 columns on each pivot, so a pivot costs O(k^2 + n k).  Up to
     `_LIST_CANDIDATES` candidates it runs on Python lists (`_ListBasis`),
     beyond that on numpy arrays (`_ArrayBasis`); see `_ListBasis` for why.
+    Many candidates cost more than with HiGHS: on a 2-core x86 box a uniform
+    200 x 200 problem takes about 0.5 s (HiGHS: 0.12-0.17 s).
     """
     cols = tuple(int(c) for c in candidate_cols)
     if not cols:
