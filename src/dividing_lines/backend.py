@@ -6,19 +6,26 @@ Every search is deterministic: candidates are tried in ascending index
 order and the first witness found at the record length is kept, which
 makes it the lexicographically smallest maximal witness.
 
+No search recurses.  Each search state is a generator that yields the
+state of each child it enters, and `_walk` keeps the suspended states on
+a list, so only memory bounds how deep a search goes.  `_walk` is also the
+one exit point: it ends a search once its node budget runs out or its
+record reaches a proven maximum.
+
 All functions report `exact=False` (lower bounds only) once the node
 budget is exhausted.  The budget cuts one fixed search short, so a larger
 budget only walks further along the same search.  What costs a node:
 
 - `ladder_search`: each (i, j) tried; a row whose every child the bound
   cuts spends none.
-- `clique_search`: each vertex tried; a state whose candidates, counted
+- `clique_search`: each vertex tried; a child whose candidates, counted
   by popcount and by the rows and the columns they hit, cannot beat the
   record spends none.
-- `alternation_iii_search`: each row tried and each (i, j) tried; a state
+- `alternation_iii_search`: each row tried and each (i, j) tried; a child
   whose reach bound (free rows, candidate columns, and the columns each
   free row allows) cannot beat the record spends none.
 - `shatter_dim_search`: each column tried.
+- `chain_witness_search`: each (column, row) pair tried.
 
 Bound cuts only drop subtrees that cannot beat the record, so they never
 change the witness an exact search returns.  The ladder, clique and
@@ -49,6 +56,29 @@ class _Optimal(Exception):
     pass
 
 
+def _walk(root) -> bool:
+    """Run the search whose first state is `root`; return `exact`, False
+    once a state raised `_BudgetHit` and True otherwise (`_Optimal` ends
+    the search early)."""
+    stack = []
+    top = root
+    try:
+        while True:
+            for child in top:
+                stack.append(top)
+                top = child
+                break
+            else:
+                if not stack:
+                    break
+                top = stack.pop()
+    except _Optimal:
+        pass
+    except _BudgetHit:
+        return False
+    return True
+
+
 def ladder_search(
     ge_by_col: list[int],
     le_by_row: list[int],
@@ -65,9 +95,9 @@ def ladder_search(
     too few rows or columns to beat the record is skipped whole and spends
     no node, and each (i, j) tried counts one node whether or not its child
     is entered.
-    Records start above `floor`, a length the caller already holds a ladder
-    for, and the search ends exact once the record reaches `cap`, a proven
-    upper bound (default min(n_rows, n_cols)).  Neither changes which
+    Records start above `floor` >= 0, a length the caller already holds a
+    ladder for, and the search ends exact once the record reaches `cap`, a
+    proven upper bound (default min(n_rows, n_cols)).  Neither changes which
     ladder is returned when the maximum exceeds `floor`: bound cuts and the
     memo only drop subtrees that cannot beat the record, so the first
     maximum-length ladder in ascending order is still the first one found.
@@ -84,56 +114,56 @@ def ladder_search(
     nodes = 0
     seen: dict[tuple[int, int], int] = {}
 
-    def rec(avail_rows: int, avail_cols: int, rseq: list[int], cseq: list[int]):
-        # callers enter a state only if depth + min(popcounts) beats best_len
+    def state(avail_rows: int, avail_cols: int, rseq: list[int], cseq: list[int]):
+        # a parent enters a state only if depth + min(popcounts) beats
+        # best_len, both masks are nonempty and the memo allows it
         nonlocal best_len, best_rows, best_cols, nodes
         depth = len(rseq)
-        if depth > best_len:
-            best_len = depth
-            best_rows = tuple(rseq)
-            best_cols = tuple(cseq)
-            if best_len >= cap:
-                raise _Optimal
-        if avail_rows == 0 or avail_cols == 0:
-            return
-        # a state's achievable extension depth is fixed, so only a strictly
-        # deeper visit can improve on what was already explored
-        prev = seen.get((avail_rows, avail_cols))
-        if prev is not None and depth <= prev:
-            return
-        seen[(avail_rows, avail_cols)] = depth
         rows_left = avail_rows.bit_count() - 1
-        for i in _iter_bits(avail_rows):
+        rows = avail_rows
+        while rows:
+            row = rows & -rows
+            rows ^= row
+            i = row.bit_length() - 1
             new_cols = avail_cols & le_by_row[i]
             # every child of row i keeps at most rows_left rows and the
             # columns of new_cols; best_len only grows, so the cut holds for
             # the whole row
             if min(rows_left, new_cols.bit_count()) <= best_len - depth - 1:
                 continue
-            other_rows = avail_rows & ~(1 << i)
-            for j in _iter_bits(avail_cols):
+            other_rows = avail_rows ^ row
+            cols = avail_cols
+            while cols:
+                col = cols & -cols
+                cols ^= col
                 nodes += 1
                 if nodes > budget:
                     raise _BudgetHit
-                child_rows = other_rows & ge_by_col[j]
-                child_cols = new_cols & ~(1 << j)
+                child_rows = other_rows & ge_by_col[col.bit_length() - 1]
+                child_cols = new_cols & ~col
                 need = best_len - depth - 1
                 if child_rows.bit_count() > need and child_cols.bit_count() > need:
                     rseq.append(i)
-                    cseq.append(j)
-                    rec(child_rows, child_cols, rseq, cseq)
+                    cseq.append(col.bit_length() - 1)
+                    if depth + 1 > best_len:
+                        best_len = depth + 1
+                        best_rows = tuple(rseq)
+                        best_cols = tuple(cseq)
+                        if best_len >= cap:
+                            raise _Optimal
+                    # a state's achievable extension depth is fixed, so only
+                    # a strictly deeper visit can improve on what was already
+                    # explored
+                    key = (child_rows, child_cols)
+                    if child_rows and child_cols and seen.get(key, -1) <= depth:
+                        seen[key] = depth + 1
+                        yield state(child_rows, child_cols, rseq, cseq)
                     rseq.pop()
                     cseq.pop()
 
-    exact = True
     if min(n_rows, n_cols) <= floor:
-        return best_len, best_rows, best_cols, exact
-    try:
-        rec((1 << n_rows) - 1, (1 << n_cols) - 1, [], [])
-    except _Optimal:
-        pass
-    except _BudgetHit:
-        exact = False
+        return best_len, best_rows, best_cols, True
+    exact = _walk(state((1 << n_rows) - 1, (1 << n_cols) - 1, [], []))
     return best_len, best_rows, best_cols, exact
 
 
@@ -142,16 +172,15 @@ def clique_search(adj: list[int], budget: int, cap: int, n_cols: int):
 
     Vertex v = i * n_cols + j is the cell (i, j) of a table, and a clique
     takes at most one cell per row and per column.  Each vertex tried costs
-    one node.  A child whose candidates, counted by popcount, cannot lift it
-    past the record is not entered; a state whose candidates hit too few
-    rows or too few columns (Tomita and Seki's colouring bound, with the
-    rows and the columns as the two colourings) is cut; and the vertex loop
-    stops once the candidates at or above v cannot beat the record
-    (Carraghan and Pardalos).  The cuts only drop subtrees that cannot beat
-    the record, so vertices are still tried in ascending order and the
-    first maximum clique found is the lexicographically first one.  The
-    search ends exact once the record reaches `cap`, a proven upper bound
-    on the clique size.
+    one node.  A child whose candidates cannot lift it past the record is
+    not entered, counted by popcount and then by the rows and the columns
+    they hit (Tomita and Seki's colouring bound, with the rows and the
+    columns as the two colourings); and the vertex loop stops once the
+    candidates at or above v cannot beat the record (Carraghan and
+    Pardalos).  The cuts only drop subtrees that cannot beat the record, so
+    vertices are still tried in ascending order and the first maximum
+    clique found is the lexicographically first one.  The search ends exact
+    once the record reaches `cap`, a proven upper bound on the clique size.
     Returns (size, vertices, exact).
     """
     n = len(adj)
@@ -175,25 +204,11 @@ def clique_search(adj: list[int], budget: int, cap: int, n_cols: int):
     best: tuple[int, ...] = ()
     nodes = 0
 
-    def rec(cand: int, chosen: list[int]):
-        # callers enter a state only if depth + popcount(cand) beats best_size
+    def state(cand: int, chosen: list[int]):
+        # a parent enters a state only if its candidates, counted by
+        # popcount and by the rows and the columns they hit, beat best_size
         nonlocal best_size, best, nodes
         depth = len(chosen)
-        if depth > best_size:
-            best_size = depth
-            best = tuple(chosen)
-            if best_size >= cap:
-                raise _Optimal
-        rows = cand
-        for shift, keep in row_folds:
-            rows |= (rows >> shift) & keep
-        if depth + (rows & row_lows).bit_count() <= best_size:
-            return
-        cols = cand
-        for shift, low in col_folds:
-            cols = (cols & low) | (cols >> shift)
-        if depth + cols.bit_count() <= best_size:
-            return
         rest = cand
         # a child of v draws only from the candidates above v
         while depth + rest.bit_count() > best_size:
@@ -206,16 +221,23 @@ def clique_search(adj: list[int], budget: int, cap: int, n_cols: int):
             child = rest & adj[v]
             if depth + 1 + child.bit_count() > best_size:
                 chosen.append(v)
-                rec(child, chosen)
+                if depth + 1 > best_size:
+                    best_size = depth + 1
+                    best = tuple(chosen)
+                    if best_size >= cap:
+                        raise _Optimal
+                rows = child
+                for shift, keep in row_folds:
+                    rows |= (rows >> shift) & keep
+                if depth + 1 + (rows & row_lows).bit_count() > best_size:
+                    cols = child
+                    for shift, keep in col_folds:
+                        cols = (cols & keep) | (cols >> shift)
+                    if depth + 1 + cols.bit_count() > best_size:
+                        yield state(child, chosen)
                 chosen.pop()
 
-    exact = True
-    try:
-        rec((1 << n) - 1, [])
-    except _Optimal:
-        pass
-    except _BudgetHit:
-        exact = False
+    exact = _walk(state((1 << n) - 1, []))
     return best_size, best, exact
 
 
@@ -226,9 +248,9 @@ def alternation_iii_search(sep_by_col: list[list[int]], n_cols: int, budget: int
     Valid iff for all t < u < v: bit j_v is set in sep_by_col[j_t][i_u],
     with row and column indices each used at most once.  Each row tried
     and each (i, j) extension tried counts as one node, so a row whose
-    extensions the bound cuts all at once still spends budget.  A state
-    whose reach bound cannot beat the record is cut before any row is
-    tried, and spends none.
+    extensions the bound cuts all at once still spends budget.  A child
+    whose reach bound cannot beat the record is not entered, and spends
+    none.
     Returns (length, pairs, exact).
     """
     n_rows = len(sep_by_col[0])
@@ -238,30 +260,28 @@ def alternation_iii_search(sep_by_col: list[list[int]], n_cols: int, budget: int
     max_depth = min(n_rows, n_cols)
     seen: set[int] = set()
 
-    def rec(
+    def state(
         pairs: list[tuple[int, int]],
         cand: int,
         pend: list[int],
         rows_left: tuple[int, ...],
+        allowed_by_row: list[int],
         used_rows: int,
         used_cols: int,
     ):
         # cand = unused cols that every committed middle row allows next;
         # pend[i] = cols row i allows after the committed cols, so a child
-        # (i, j) leaves cand & pend[i] & ~j and row masks pend & sep_by_col[j]
+        # (i, j) leaves cand & pend[i] & ~j and row masks pend & sep_by_col[j];
+        # allowed_by_row[k] = cand & pend[rows_left[k]]
         nonlocal best_len, best, nodes
         depth = len(pairs) + 1
-        allowed_by_row = [cand & pend[i] for i in rows_left]
-        # the k-th row of a tail of length R is a middle row for the R - k
-        # columns after it, all in its allowed mask; with a_1 >= a_2 >= ...
-        # the allowed popcounts, at most k - 1 rows have more than a_k, so
-        # R <= a_k + k for every k
-        counts = sorted(map(int.bit_count, allowed_by_row), reverse=True)
-        reach = min(len(rows_left), cand.bit_count(), min(map(add, counts, count(1))))
-        if depth - 1 + reach <= best_len:
-            return
         free_rows = len(rows_left) - 1
-        cand_cols = list(_iter_bits(cand))
+        cand_cols = []
+        rest = cand
+        while rest:
+            low = rest & -rest
+            cand_cols.append(low.bit_length() - 1)
+            rest ^= low
         child_pend: dict[int, list[int]] = {}
         for k, i in enumerate(rows_left):
             # a child at `depth` can only matter if it, or its subtree,
@@ -298,16 +318,21 @@ def alternation_iii_search(sep_by_col: list[list[int]], n_cols: int, budget: int
                         cp = child_pend.get(j)
                         if cp is None:
                             cp = child_pend[j] = [p & m for p, m in zip(pend, sep_by_col[j])]
-                        rec(pairs, next_cand, cp, next_rows, rows, used_cols | bit)
+                        next_allowed = [next_cand & cp[r] for r in next_rows]
+                        # the k-th row of a tail of length R is a middle row
+                        # for the R - k columns after it, all in its allowed
+                        # mask; with a_1 >= a_2 >= ... the allowed popcounts,
+                        # at most k - 1 rows have more than a_k, so
+                        # R <= a_k + k for every k (R <= free rows and
+                        # R <= popcount(next_cand) were tested above)
+                        counts = sorted(map(int.bit_count, next_allowed), reverse=True)
+                        if depth + min(map(add, counts, count(1))) > best_len:
+                            used = used_cols | bit
+                            yield state(pairs, next_cand, cp, next_rows, next_allowed, rows, used)
                 pairs.pop()
 
-    exact = True
-    try:
-        rec([], (1 << n_cols) - 1, [(1 << n_cols) - 1] * n_rows, tuple(range(n_rows)), 0, 0)
-    except _Optimal:
-        pass
-    except _BudgetHit:
-        exact = False
+    full = (1 << n_cols) - 1
+    exact = _walk(state([], full, [full] * n_rows, tuple(range(n_rows)), [full] * n_rows, 0, 0))
     return best_len, best, exact
 
 
@@ -327,15 +352,11 @@ def shatter_dim_search(
     best_masks: tuple[int, ...] = ()
     nodes = 0
 
-    def rec(start: int, cols: list[int], masks: list[int]):
+    def state(start: int, cols: list[int], masks: list[int]):
+        # a parent enters a state only if it has fewer than max_k columns
+        # and enough columns left to beat best_k
         nonlocal best_k, best_cols, best_masks, nodes
-        k = len(cols)
-        if k > best_k:
-            best_k = k
-            best_cols = tuple(cols)
-            best_masks = tuple(masks)
-        if k >= max_k or k + (n_cols - start) <= best_k:
-            return
+        k = len(cols) + 1
         for c in range(start, n_cols):
             nodes += 1
             if nodes > budget:
@@ -355,15 +376,79 @@ def shatter_dim_search(
             if shattered:
                 # the new column contributes the top pattern bit
                 cols.append(c)
-                rec(c + 1, cols, hi_masks + lo_masks)
+                masks_k = hi_masks + lo_masks
+                if k > best_k:
+                    best_k = k
+                    best_cols = tuple(cols)
+                    best_masks = tuple(masks_k)
+                if k < max_k and k + (n_cols - c - 1) > best_k:
+                    yield state(c + 1, cols, masks_k)
                 cols.pop()
 
-    exact = True
-    try:
-        rec(0, [], [(1 << n_rows) - 1])
-    except _BudgetHit:
-        exact = False
+    exact = _walk(state(0, [], [(1 << n_rows) - 1])) if max_k > 0 else True
     return best_k, best_cols, best_masks, exact
+
+
+def chain_witness_search(
+    rows: list[list[float]], above: list[int], eps: float, target_m: int, budget: int
+):
+    """First literal chain witness of length target_m, by backtracking.
+
+    rows[w] = row w of the table; above[c] = bitmask of the columns c2 != c
+    with column c <= column c2 pointwise.  Column chains are restricted to
+    the pointwise pre-order; rows are assigned greedily with full
+    backtracking, columns and then rows in ascending index order, and a row
+    w extends a chain at column c iff T[w][c'] + eps < T[w'][c] for every
+    (c', w') already on it.  Each (column, row) pair tried costs one node.
+    A chain is not extended, and a column's rows are not charged, when the
+    unused rows or the unused columns above its last column would be too
+    few to reach target_m.
+    Returns (cols, witness_rows, exact); both are empty when no witness was
+    found.
+    """
+    n_rows = len(rows)
+    n_cols = len(above)
+    found: tuple[tuple[int, ...], tuple[int, ...]] = ((), ())
+    nodes = 0
+    chain_cols: list[int] = []
+    chain_rows: list[int] = []
+
+    def state():
+        nonlocal found, nodes
+        k = len(chain_cols)
+        unused = ~sum(1 << c for c in chain_cols)
+        free_cols = above[chain_cols[-1]] & unused if k else (1 << n_cols) - 1
+        if k + min(n_rows - k, free_cols.bit_count()) < target_m:
+            return
+        used_rows = set(chain_rows)
+        free_rows = [w for w in range(n_rows) if w not in used_rows]
+        prefix = list(zip(chain_cols, chain_rows))
+        for c in _iter_bits(free_cols):
+            # the cut a chain ending in c would meet, applied before its rows
+            # are charged
+            if k + 1 + min(n_rows - k - 1, (above[c] & unused).bit_count()) < target_m:
+                continue
+            tops = [(cc, rows[ww][c]) for cc, ww in prefix]
+            for w in free_rows:
+                nodes += 1
+                if nodes > budget:
+                    raise _BudgetHit
+                row = rows[w]
+                for cc, top in tops:
+                    if not (row[cc] + eps < top):
+                        break
+                else:
+                    chain_cols.append(c)
+                    chain_rows.append(w)
+                    if k + 1 >= target_m:
+                        found = (tuple(chain_cols), tuple(chain_rows))
+                        raise _Optimal
+                    yield state()
+                    chain_cols.pop()
+                    chain_rows.pop()
+
+    exact = _walk(state())
+    return found[0], found[1], exact
 
 
 def dk_count_free(

@@ -233,15 +233,15 @@ def load_table(
     format: str | None = None,
     bound: float | None = None,
 ) -> EvalTable:
-    """Load a table from a path, byte/text stream, or in-memory string.
+    """Load a table from a path, byte/text stream, or in-memory string or bytes.
 
     `format` is "csv" or "json"; when omitted it is inferred from the file
     extension (paths only).  For CSV the bound defaults to the maximum
     absolute entry unless `bound` overrides it; for JSON the bound field
     is mandatory and `bound` must not be supplied.
     """
-    if isinstance(source, (str, bytes)) and format is not None:
-        text = source.decode("utf-8") if isinstance(source, bytes) else source
+    if isinstance(source, str) and format is not None:
+        text = source
     elif isinstance(source, (str, Path)):
         path = Path(source)
         if format is None:
@@ -251,10 +251,10 @@ def load_table(
             format = ext
         text = path.read_text(encoding="utf-8")
     else:
-        data = source.read()
-        text = data.decode("utf-8") if isinstance(data, bytes) else data
         if format is None:
-            raise ParseError("format must be given when loading from a stream")
+            raise ParseError("format must be given when loading from bytes or a stream")
+        data = source if isinstance(source, bytes) else source.read()
+        text = data.decode("utf-8") if isinstance(data, bytes) else data
     if format == "csv":
         return _parse_csv(text, bound)
     if format == "json":

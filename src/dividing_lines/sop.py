@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import backend
 from .core import Epsilon, EvalTable, bitmasks, column_blocks
 from .errors import IndexOutOfRange, InvalidWitness, SearchBudgetExceeded
 from .op import DEFAULT_EXACT_LIMIT, AlternationWitness
@@ -126,14 +127,6 @@ def _low_bit(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
-def _bits(mask: int):
-    """The set bits of mask, in ascending order."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def strict_chain(t: EvalTable, e: Epsilon) -> StrictChainResult:
     """Longest column chain under pointwise <= with an eps-gap row per step.
 
@@ -192,16 +185,10 @@ def sop_witness(
     target_m: int,
     exact_limit: int = DEFAULT_EXACT_LIMIT,
 ) -> ChainWitness | None:
-    """Backtracking search for a literal chain witness of length >= target_m.
-
-    Column chains are restricted to the pointwise pre-order; rows are
-    assigned greedily with full backtracking, columns and then rows in
-    ascending index order.  Each (column, row) pair tried costs one node.
-    A chain is not extended, and a column's rows are not charged, when the
-    unused rows or the unused columns above its last column would be too
-    few to reach target_m.  The search keeps an explicit stack, so chain
-    length has no depth limit.  Returns None
-    only when the exhaustive search finishes below the node budget; raises
+    """Backtracking search for a literal chain witness of length >= target_m
+    (`backend.chain_witness_search`, which costs one node per (column, row)
+    pair tried and has no depth limit).  Returns None only when the
+    exhaustive search finishes below the node budget; raises
     SearchBudgetExceeded otherwise.
     """
     if target_m < 2:
@@ -213,55 +200,12 @@ def _sop_witness(
     t: EvalTable, e: Epsilon, target_m: int, exact_limit: int, above: list[int]
 ) -> ChainWitness | None:
     """`sop_witness` on the `_above_masks` the caller built."""
-    rows = t.entries.tolist()
-    eps = e.eps
-    nodes = 0
-    chain_cols: list[int] = []
-    chain_rows: list[int] = []
-
-    def steps():
-        """The (c, w) pairs that extend the current chain, in search order."""
-        nonlocal nodes
-        k = len(chain_cols)
-        unused = ~sum(1 << c for c in chain_cols)
-        free_cols = above[chain_cols[-1]] & unused if k else (1 << t.n_cols) - 1
-        if k + min(t.n_rows - k, free_cols.bit_count()) < target_m:
-            return
-        used_rows = set(chain_rows)
-        free_rows = [w for w in range(t.n_rows) if w not in used_rows]
-        prefix = list(zip(chain_cols, chain_rows))
-        for c in _bits(free_cols):
-            # the cut a chain ending in c would meet, applied before its rows
-            # are charged
-            if k + 1 + min(t.n_rows - k - 1, (above[c] & unused).bit_count()) < target_m:
-                continue
-            tops = [(cc, rows[ww][c]) for cc, ww in prefix]
-            for w in free_rows:
-                nodes += 1
-                if nodes > exact_limit:
-                    raise SearchBudgetExceeded(f"sop_witness budget {exact_limit} exhausted")
-                row = rows[w]
-                for cc, top in tops:
-                    if not (row[cc] + eps < top):
-                        break
-                else:
-                    yield c, w
-
-    stack = [steps()]
-    while stack:
-        step = next(stack[-1], None)
-        if step is None:
-            stack.pop()
-            if chain_cols:
-                chain_cols.pop()
-                chain_rows.pop()
-            continue
-        chain_cols.append(step[0])
-        chain_rows.append(step[1])
-        if len(chain_cols) >= target_m:
-            return ChainWitness(tuple(chain_cols), tuple(chain_rows), e)
-        stack.append(steps())
-    return None
+    cols, rows, exact = backend.chain_witness_search(
+        t.entries.tolist(), above, e.eps, target_m, exact_limit
+    )
+    if not exact:
+        raise SearchBudgetExceeded(f"sop_witness budget {exact_limit} exhausted")
+    return ChainWitness(cols, rows, e) if cols else None
 
 
 def sop_to_alternation(w: ChainWitness, t: EvalTable) -> AlternationWitness:

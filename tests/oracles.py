@@ -330,8 +330,10 @@ def grid_minimax(A: np.ndarray, target: np.ndarray, step: float = 1e-3) -> float
     if k == 2:
         weights = np.stack([ticks, 1.0 - ticks], axis=1)
     elif k == 3:
-        grids = [(a, b) for a in ticks for b in ticks if a + b <= 1.0 + step / 2]
-        weights = np.array([[a, b, max(0.0, 1.0 - a - b)] for a, b in grids])
+        a, b = np.meshgrid(ticks, ticks, indexing="ij")
+        keep = a + b <= 1.0 + step / 2
+        a, b = a[keep], b[keep]
+        weights = np.stack([a, b, np.maximum(0.0, 1.0 - a - b)], axis=1)
     else:
         raise ValueError("grid search supports at most 3 candidates")
     residuals = weights @ A.T - target[None, :]

@@ -111,9 +111,9 @@ def test_load_csv_bound_override():
 
 
 def test_load_stream_requires_format():
-    buf = io.StringIO("0,1\n")
-    with pytest.raises(ParseError):
-        load_table(buf)
+    for source in (io.StringIO("0,1\n"), io.BytesIO(b"0,1\n"), b"0,1\n"):
+        with pytest.raises(ParseError, match="format must be given"):
+            load_table(source)
     buf = io.BytesIO(b"0,1\n")
     assert load_table(buf, format="csv").n_cols == 2
 

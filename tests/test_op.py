@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -74,6 +76,37 @@ def test_ladder_half_graph():
         assert res.length == n
         assert res.exact
         assert res.witness.is_valid(t)
+
+
+def test_searches_run_under_a_low_recursion_limit():
+    # every search keeps its states on an explicit stack, so a search deeper
+    # than the interpreter's frame limit still ends exact
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 60)
+    try:
+        ladder = max_ladder(transpose(half_graph(150)), TH)
+        iii = alternation_rank(half_graph(150), E1, "iii")
+        ii = alternation_rank(half_graph(75), E1, "ii")
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (ladder.length, ladder.exact) == (150, True)
+    assert (iii.rank, iii.exact) == (150, True)
+    assert (ii.rank, ii.exact) == (75, True)
+
+
+def test_ladder_half_graph_1100():
+    t = half_graph(1100)
+    res = max_ladder(transpose(t), TH)
+    assert (res.length, res.exact) == (1100, True)
+    assert res.witness.is_valid(transpose(t))
+    # the transposed probe proves 1100, but the forward rerun must still
+    # find the lexicographically first forward ladder within the budget
+    res = max_ladder(t, TH)
+    assert res.length == 1100
+    assert res.witness.is_valid(t)
 
 
 def test_ladder_found_past_row_63(tbl):
