@@ -35,6 +35,11 @@ class ClassifyParams:
     distinct_coords: bool = True
     tuple_budget: int = talagrand.DEFAULT_TUPLE_BUDGET
 
+    def __post_init__(self) -> None:
+        # 0 runs no search, so every search result is inexact
+        if self.exact_limit < 0:
+            raise ValueError(f"exact_limit must be >= 0, got {self.exact_limit}")
+
     def to_dict(self) -> dict:
         return asdict(self)
 

@@ -8,13 +8,14 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Sequence
+from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .errors import BoundViolation, EmptyTable, ParseError, ShapeMismatch
+from .errors import BoundViolation, EmptyTable, IndexOutOfRange, ParseError, ShapeMismatch
 
 # cells per block of `blocks` (a 128 KiB float64 temporary): bigger blocks
 # measured slower from 64x64 tables up
@@ -176,6 +177,25 @@ def bitmasks(flags) -> list[int]:
     `flags.T` for per-column masks."""
     packed = np.packbits(flags, axis=1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def indices(t: EvalTable, idx: Iterable, axis: int) -> tuple[int, ...]:
+    """The indices `idx` of rows (axis 0) or columns (axis 1) of `t`, as
+    ints.  Raises IndexOutOfRange at the first one that is not an integer
+    (by `operator.index`: Python and numpy integers pass, floats do not) or
+    not in range."""
+    name = ("row", "col")[axis]
+    n = t.entries.shape[axis]
+    out = []
+    for i in idx:
+        try:
+            j = operator.index(i)
+        except TypeError:
+            raise IndexOutOfRange(f"{name} index {i!r} is not an integer") from None
+        if not 0 <= j < n:
+            raise IndexOutOfRange(f"{name} index {j} out of range")
+        out.append(j)
+    return tuple(out)
 
 
 def blocks(n: int, cells: int) -> list[slice]:

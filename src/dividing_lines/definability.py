@@ -9,8 +9,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import EvalTable
-from .errors import BoundViolation, EmptySelection, IndexOutOfRange, SolverFailure
+from .core import EvalTable, indices
+from .errors import BoundViolation, EmptySelection, SolverFailure
 
 
 @dataclass(frozen=True)
@@ -33,12 +33,9 @@ class ConvexApproximation:
 
 def cesaro_column(t: EvalTable, cols: Sequence[int]) -> np.ndarray:
     """Per-row arithmetic mean of the selected columns."""
-    cols = list(cols)
+    cols = indices(t, cols, 1)
     if not cols:
         raise EmptySelection("cols must be nonempty")
-    for c in cols:
-        if not (0 <= c < t.n_cols):
-            raise IndexOutOfRange(f"col index {c} out of range")
     return t.entries[:, cols].mean(axis=1)
 
 
@@ -51,24 +48,13 @@ def _sup_distance(A: list[list[float]], weights: Sequence[float], target: list[f
     return max(map(abs, map(sub, fit, target)))
 
 
-def _invert(B: list[list[float]]) -> list[list[float]]:
-    """Inverse of the square matrix with rows B, by Gauss-Jordan elimination
-    with partial pivoting; SolverFailure if it is singular."""
-    m = len(B)
-    rows = [row + [float(i == j) for j in range(m)] for i, row in enumerate(B)]
-    for c in range(m):
-        p = max(range(c, m), key=lambda i: abs(rows[i][c]))
-        pivot = rows[p][c]
-        if pivot == 0.0:
-            raise SolverFailure("simplex basis became singular")
-        prow = [x / pivot for x in rows[p]]
-        rows[p] = rows[c]
-        rows[c] = prow
-        for i in range(m):
-            f = rows[i][c]
-            if f and i != c:
-                rows[i] = [x - f * y for x, y in zip(rows[i], prow)]
-    return [row[m:] for row in rows]
+def _inverse(cols: list[list[float]]) -> np.ndarray:
+    """Inverse of the square matrix with columns `cols`; SolverFailure if it
+    is singular."""
+    try:
+        return np.linalg.inv(np.array(cols).T)
+    except np.linalg.LinAlgError:
+        raise SolverFailure("simplex basis became singular") from None
 
 
 class _ListBasis:
@@ -83,7 +69,8 @@ class _ListBasis:
     shared 2-core x86 box, solve rates scaled by the calibration loop of
     `perfbench/speed.py` spread by 6-9 % (interquartile, 0.6 s windows) on
     lists against 20-22 % on arrays.  On dense uniform data, with many
-    pivots, lists are slower: 1.2 times at k = 4, 1.9 times at k = 8.
+    pivots, lists are slower: 1.2 times at k = 4, 1.9 times at k = 8.  Only
+    `refactorise` calls numpy, once every k + 1 pivots.
     """
 
     def __init__(self, A: list[list[float]], target: list[float]):
@@ -130,7 +117,7 @@ class _ListBasis:
         return pivot_row
 
     def refactorise(self, cols: list[list[float]]) -> None:
-        self.inv = _invert([list(row) for row in zip(*cols)])
+        self.inv = _inverse(cols).tolist()
 
 
 class _ArrayBasis:
@@ -164,10 +151,7 @@ class _ArrayBasis:
         return pivot_row.tolist()
 
     def refactorise(self, cols: list[list[float]]) -> None:
-        try:
-            self.inv = np.linalg.inv(np.array(cols).T)
-        except np.linalg.LinAlgError:
-            raise SolverFailure("simplex basis became singular") from None
+        self.inv = _inverse(cols)
 
 
 # Simplex tolerances, for data scaled into [-1, 1]: reduced costs, ratio ties
@@ -319,12 +303,9 @@ def mazur_approximate(
     Many candidates cost more than with HiGHS: on a 2-core x86 box a uniform
     200 x 200 problem takes about 0.5 s (HiGHS: 0.12-0.17 s).
     """
-    cols = tuple(int(c) for c in candidate_cols)
+    cols = indices(t, candidate_cols, 1)
     if not cols:
         raise EmptySelection("candidate_cols must be nonempty")
-    for c in cols:
-        if not (0 <= c < t.n_cols):
-            raise IndexOutOfRange(f"col index {c} out of range")
     target = np.asarray(target, dtype=np.float64)
     if target.shape != (t.n_rows,):
         raise ValueError("target length must equal n_rows")

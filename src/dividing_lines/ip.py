@@ -7,8 +7,8 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from . import backend
-from .core import EvalTable, ThresholdPair, bitmasks
-from .errors import IndexOutOfRange, InvalidWitness, TooManyColumns
+from .core import EvalTable, ThresholdPair, bitmasks, indices
+from .errors import InvalidWitness, TooManyColumns
 from .op import DEFAULT_EXACT_LIMIT, LadderWitness
 
 MAX_SHATTER_COLS = 24
@@ -32,17 +32,12 @@ class ShatterWitness:
         return len(self.cols)
 
     def first_violation(self, t: EvalTable):
-        k = len(self.cols)
-        for c in self.cols:
-            if not (0 <= c < t.n_cols):
-                raise IndexOutOfRange(f"col index {c} out of range")
-        for pattern in range(1 << k):
+        cols = indices(t, self.cols, 1)
+        for pattern in range(1 << len(cols)):
             if pattern not in self.selector:
                 return pattern, "IncompleteSelector: missing pattern"
-            row = self.selector[pattern]
-            if not (0 <= row < t.n_rows):
-                raise IndexOutOfRange(f"selector row {row} out of range")
-            for b, c in enumerate(self.cols):
+            (row,) = indices(t, (self.selector[pattern],), 0)
+            for b, c in enumerate(cols):
                 v = t.entries[row, c]
                 if pattern & (1 << b):
                     if not (v <= self.thresholds.s):
@@ -95,9 +90,7 @@ def is_shattered(
         raise ValueError("cols must be distinct")
     if len(cols) > MAX_SHATTER_COLS:
         raise TooManyColumns(f"{len(cols)} columns exceed the limit of {MAX_SHATTER_COLS}")
-    for c in cols:
-        if not (0 <= c < t.n_cols):
-            raise IndexOutOfRange(f"col index {c} out of range")
+    cols = indices(t, cols, 1)
     low_by_col = bitmasks((t.entries <= th.s).T)
     high_by_col = bitmasks((t.entries >= th.r).T)
     full = (1 << t.n_rows) - 1

@@ -9,8 +9,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from . import backend
-from .core import Epsilon, EvalTable, ThresholdPair, bitmasks, blocks, column_blocks
-from .errors import IndexOutOfRange
+from .core import Epsilon, EvalTable, ThresholdPair, bitmasks, blocks, column_blocks, indices
 
 DEFAULT_EXACT_LIMIT = 10**6
 # nodes for the first forward ladder pass and for the transposed probe; most
@@ -41,25 +40,20 @@ class LadderWitness:
 
     def first_violation(self, t: EvalTable):
         """None if valid, else ((row_pos, col_pos), description)."""
-        n = len(self.rows)
-        for i in self.rows:
-            if not (0 <= i < t.n_rows):
-                raise IndexOutOfRange(f"row index {i} out of range")
-        for j in self.cols:
-            if not (0 <= j < t.n_cols):
-                raise IndexOutOfRange(f"col index {j} out of range")
-        if len(set(self.rows)) != n:
+        rows, cols = indices(t, self.rows, 0), indices(t, self.cols, 1)
+        n = len(rows)
+        if len(set(rows)) != n:
             return None, "duplicate row index"
-        if len(set(self.cols)) != n:
+        if len(set(cols)) != n:
             return None, "duplicate col index"
         s, r = self.thresholds.s, self.thresholds.r
         for k in range(n):
             for l in range(n):
-                v = t.entries[self.rows[k], self.cols[l]]
+                v = t.entries[rows[k], cols[l]]
                 if k > l and not (v >= r):
-                    return (k, l), f"T[{self.rows[k]}][{self.cols[l]}]={v} < r={r}"
+                    return (k, l), f"T[{rows[k]}][{cols[l]}]={v} < r={r}"
                 if k < l and not (v <= s):
-                    return (k, l), f"T[{self.rows[k]}][{self.cols[l]}]={v} > s={s}"
+                    return (k, l), f"T[{rows[k]}][{cols[l]}]={v} > s={s}"
         return None
 
     def is_valid(self, t: EvalTable) -> bool:
@@ -97,28 +91,27 @@ class AlternationWitness:
         return len(self.pairs)
 
     def first_violation(self, t: EvalTable):
-        for i, j in self.pairs:
-            if not (0 <= i < t.n_rows) or not (0 <= j < t.n_cols):
-                raise IndexOutOfRange(f"pair ({i},{j}) out of range")
-        if len(set(i for i, _ in self.pairs)) != len(self.pairs):
+        rows = indices(t, (i for i, _ in self.pairs), 0)
+        cols = indices(t, (j for _, j in self.pairs), 1)
+        n = len(self.pairs)
+        if len(set(rows)) != n:
             return None, "duplicate row index"
-        if len(set(j for _, j in self.pairs)) != len(self.pairs):
+        if len(set(cols)) != n:
             return None, "duplicate col index"
         e = self.eps.eps
-        n = len(self.pairs)
         if self.variant == "ii":
             for u in range(n):
                 for v in range(u + 1, n):
-                    a = t.entries[self.pairs[u][0], self.pairs[v][1]]
-                    b = t.entries[self.pairs[v][0], self.pairs[u][1]]
+                    a = t.entries[rows[u], cols[v]]
+                    b = t.entries[rows[v], cols[u]]
                     if not (abs(a - b) >= e):
                         return (u, v), f"|{a} - {b}| < eps={e}"
         else:
             for tt in range(n):
                 for u in range(tt + 1, n):
                     for v in range(u + 1, n):
-                        a = t.entries[self.pairs[u][0], self.pairs[tt][1]]
-                        b = t.entries[self.pairs[u][0], self.pairs[v][1]]
+                        a = t.entries[rows[u], cols[tt]]
+                        b = t.entries[rows[u], cols[v]]
                         if not (abs(a - b) >= e):
                             return (tt, u, v), f"|{a} - {b}| < eps={e}"
         return None
@@ -343,12 +336,7 @@ def iterated_means(
         raise ValueError("sequences must have length >= 2")
     if not (0 < tail_fraction <= 1):
         raise ValueError("tail_fraction must lie in (0, 1]")
-    for i in row_seq:
-        if not (0 <= i < t.n_rows):
-            raise IndexOutOfRange(f"row index {i} out of range")
-    for j in col_seq:
-        if not (0 <= j < t.n_cols):
-            raise IndexOutOfRange(f"col index {j} out of range")
+    row_seq, col_seq = indices(t, row_seq, 0), indices(t, col_seq, 1)
     m = max(2, math.ceil(tail_fraction * L))
     tail = range(L - m, L)
     below = [t.entries[row_seq[k], col_seq[l]] for k in tail for l in tail if k > l]

@@ -8,8 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import backend
-from .core import Epsilon, EvalTable, bitmasks, column_blocks
-from .errors import IndexOutOfRange, InvalidWitness, SearchBudgetExceeded
+from .core import Epsilon, EvalTable, bitmasks, column_blocks, indices
+from .errors import InvalidWitness, SearchBudgetExceeded
 from .op import DEFAULT_EXACT_LIMIT, AlternationWitness
 
 
@@ -36,19 +36,14 @@ class ChainWitness:
         return len(self.cols)
 
     def first_violation(self, t: EvalTable):
-        for c in self.cols:
-            if not (0 <= c < t.n_cols):
-                raise IndexOutOfRange(f"col index {c} out of range")
-        for w in self.witness_rows:
-            if not (0 <= w < t.n_rows):
-                raise IndexOutOfRange(f"row index {w} out of range")
-        m = len(self.cols)
-        if len(set(self.cols)) != m:
+        cols, rows = indices(t, self.cols, 1), indices(t, self.witness_rows, 0)
+        m = len(cols)
+        if len(set(cols)) != m:
             return None, "duplicate col index"
-        if len(set(self.witness_rows)) != m:
+        if len(set(rows)) != m:
             return None, "duplicate row index"
         for pos in range(m - 1):
-            c1, c2 = self.cols[pos], self.cols[pos + 1]
+            c1, c2 = cols[pos], cols[pos + 1]
             for p in range(t.n_rows):
                 if not (t.entries[p, c1] <= t.entries[p, c2]):
                     return ("pointwise", pos, p), (
@@ -57,8 +52,8 @@ class ChainWitness:
         e = self.eps.eps
         for tt in range(m):
             for u in range(tt + 1, m):
-                a = t.entries[self.witness_rows[u], self.cols[tt]]
-                b = t.entries[self.witness_rows[tt], self.cols[u]]
+                a = t.entries[rows[u], cols[tt]]
+                b = t.entries[rows[tt], cols[u]]
                 if not (a + e < b):
                     return ("cross", tt, u), f"{a} + eps={e} !< {b}"
         return None

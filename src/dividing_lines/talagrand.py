@@ -12,8 +12,8 @@ from typing import Sequence
 import numpy as np
 
 from . import backend
-from .core import EvalTable, ThresholdPair, bitmasks
-from .errors import BudgetExceeded, EmptySubset, IndexOutOfRange
+from .core import EvalTable, ThresholdPair, bitmasks, indices
+from .errors import BudgetExceeded, EmptySubset
 
 DEFAULT_TUPLE_BUDGET = 10**8
 # Monte Carlo samples and exact-mode combinations are tested in blocks of
@@ -65,12 +65,9 @@ class DkReport:
 
 
 def _check_subset(t: EvalTable, E: Sequence[int]) -> tuple[int, ...]:
-    members = tuple(sorted(set(int(i) for i in E)))
+    members = tuple(sorted(set(indices(t, E, 0))))
     if not members:
         raise EmptySubset("row subset E is empty")
-    for i in members:
-        if not (0 <= i < t.n_rows):
-            raise IndexOutOfRange(f"row index {i} out of range")
     return members
 
 

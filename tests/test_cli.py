@@ -217,14 +217,17 @@ def test_analyze_defaults_are_classify_params(half_graph_file, capsys):
 @pytest.mark.parametrize("argv", [
     ["analyze", "--input", "TABLE", "--eps", "0"],
     ["analyze", "--input", "TABLE", "--kmax", "0"],
+    ["analyze", "--input", "TABLE", "--exact-limit", "-1"],
     ["talagrand", "--input", "TABLE", "--kmax", "0"],
     ["talagrand", "--input", "TABLE", "--kmax", "1", "--mc-samples", "-5", "--seed", "1"],
     ["talagrand", "--input", "TABLE", "--mc-samples", "10", "--kmax", "400"],
     ["dichotomy-scan", "--kind", "half_graph", "--trials", "1", "--s", "2", "--r", "1"],
     ["dichotomy-scan", "--kind", "half_graph", "--trials", "-1"],
+    ["dichotomy-scan", "--kind", "half_graph", "--n", "4", "--trials", "1",
+     "--exact-limit", "-1"],
     ["generate", "--kind", "random_table", "--p", "2"],
-], ids=["eps", "analyze-kmax", "talagrand-kmax", "mc-samples", "mc-kmax-past-float",
-        "thresholds", "trials", "p"])
+], ids=["eps", "analyze-kmax", "analyze-exact-limit", "talagrand-kmax", "mc-samples",
+        "mc-kmax-past-float", "thresholds", "trials", "scan-exact-limit", "p"])
 def test_bad_parameter_values_are_usage_errors(half_graph_file, capsys, argv):
     argv = [half_graph_file if a == "TABLE" else a for a in argv]
     code, out, err = run(capsys, *argv)
@@ -253,7 +256,11 @@ def test_malformed_json_is_invalid_input(half_graph_file, tmp_path, capsys, flag
     "[1, 2]",
     '{"ladder": {"witness": {"kind": "ladder"}}}',
     None,
-], ids=["unknown-kind", "list", "missing-fields", "directory"])
+    '{"ladder": {"witness": {"kind": "ladder", "rows": [0.5, 1], "cols": [0, 1],'
+    ' "s": 0.0, "r": 1.0}}}',
+    '{"shattering_primal": {"witness": {"kind": "shatter", "cols": [0], "s": 0.0,'
+    ' "r": 1.0, "selector": {"0": 1.5, "1": 0}}}}',
+], ids=["unknown-kind", "list", "missing-fields", "directory", "float-row", "float-selector-row"])
 def test_bad_validate_report_is_invalid_input(half_graph_file, tmp_path, capsys, content):
     report = tmp_path / "report"
     if content is None:

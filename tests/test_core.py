@@ -7,10 +7,20 @@ import numpy as np
 import pytest
 
 from dividing_lines import (
+    AlternationWitness,
+    ChainWitness,
     EvalTable,
     Epsilon,
+    LadderWitness,
+    ShatterWitness,
     ThresholdPair,
+    cesaro_column,
+    dk_count,
+    half_graph,
+    is_shattered,
+    iterated_means,
     load_table,
+    mazur_approximate,
     serialize,
     transpose,
 )
@@ -18,6 +28,7 @@ from dividing_lines.core import bitmasks
 from dividing_lines.errors import (
     BoundViolation,
     EmptyTable,
+    IndexOutOfRange,
     ParseError,
     ShapeMismatch,
 )
@@ -152,3 +163,30 @@ def test_bitmasks_match_definition_at_every_width():
         flags[0, width - 1] = True
         for m in (flags, flags.T):
             assert bitmasks(m) == [sum(1 << int(q) for q in np.flatnonzero(row)) for row in m]
+
+
+TH = ThresholdPair(0.0, 1.0)
+EPS = Epsilon(1.0)
+
+# every entry point that takes row or column indices, called with index i
+# in one row or column position
+INDEX_ENTRY_POINTS = {
+    "ladder": lambda t, i: LadderWitness((i, 2), (1, 3), TH).first_violation(t),
+    "alternation": lambda t, i: AlternationWitness("ii", ((i, 2), (2, 3)), EPS).first_violation(t),
+    "shatter": lambda t, i: ShatterWitness((1,), TH, {0: i, 1: 0}).first_violation(t),
+    "chain": lambda t, i: ChainWitness((0, i), (2, 3), EPS).first_violation(t),
+    "iterated_means": lambda t, i: iterated_means(t, [i, 2, 3], [0, 1, 2]),
+    "is_shattered": lambda t, i: is_shattered(t, [i, 3], TH),
+    "dk_count": lambda t, i: dk_count(t, [i, 2], 1, TH),
+    "cesaro_column": lambda t, i: cesaro_column(t, [i, 2]).tolist(),
+    "mazur_approximate": lambda t, i: mazur_approximate(t, [i, 2], [0.5] * 4),
+}
+
+
+@pytest.mark.parametrize("call", INDEX_ENTRY_POINTS.values(), ids=INDEX_ENTRY_POINTS.keys())
+def test_indices_must_be_integers(call):
+    t = half_graph(4)
+    for bad in (0.5, 1.5):
+        with pytest.raises(IndexOutOfRange):
+            call(t, bad)
+    assert call(t, np.int64(1)) == call(t, 1)
