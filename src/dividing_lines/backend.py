@@ -96,11 +96,12 @@ def ladder_search(
     no node, and each (i, j) tried counts one node whether or not its child
     is entered.
     Records start above `floor` >= 0, a length the caller already holds a
-    ladder for, and the search ends exact once the record reaches `cap`, a
-    proven upper bound (default min(n_rows, n_cols)).  Neither changes which
-    ladder is returned when the maximum exceeds `floor`: bound cuts and the
-    memo only drop subtrees that cannot beat the record, so the first
-    maximum-length ladder in ascending order is still the first one found.
+    ladder for or only asks to beat, and the search ends exact once the
+    record reaches `cap`, a proven upper bound (default min(n_rows,
+    n_cols)).  Neither changes which ladder is returned when the maximum
+    exceeds `floor`: bound cuts and the memo only drop subtrees that cannot
+    beat the record, so the first maximum-length ladder in ascending order
+    is still the first one found.
     Returns (length, rows, cols, exact); rows and cols are empty, and
     length is `floor`, when no ladder longer than `floor` was found.
     """

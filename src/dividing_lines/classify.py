@@ -39,6 +39,10 @@ class ClassifyParams:
         # 0 runs no search, so every search result is inexact
         if self.exact_limit < 0:
             raise ValueError(f"exact_limit must be >= 0, got {self.exact_limit}")
+        # every length meets a cutoff below 1, so its verdict would always be true
+        for name in ("min_ladder", "min_ip_dim", "min_chain"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -135,7 +135,7 @@ class AlternationWitness:
 @dataclass(frozen=True)
 class LadderResult:
     length: int
-    witness: LadderWitness
+    witness: LadderWitness | None  # None only from a floored private call
     exact: bool
 
 
@@ -174,30 +174,38 @@ def _ladder(
     ge_by_col: list[int],
     le_by_row: list[int],
     exact_limit: int,
-    cap: int | None = None,
+    floor: int = 0,
 ) -> LadderResult:
-    """`max_ladder` on masks the caller built, stopping exact at `cap`, a
-    proven upper bound on the ladder length (default min(n_rows, n_cols))."""
+    """`max_ladder` on masks the caller built, looking only for ladders
+    longer than `floor`.  When `floor` >= 1 and no longer ladder is found,
+    the result has length `floor` and no witness; `exact` then says that
+    none exists."""
     budget = min(exact_limit, _LADDER_SLICE)
-    length, rows, cols, exact = backend.ladder_search(ge_by_col, le_by_row, budget, cap=cap)
+    length, rows, cols, exact = backend.ladder_search(ge_by_col, le_by_row, budget, floor)
     left = exact_limit - budget
     if not exact and left > 0:
         budget = min(left, _LADDER_SLICE)
         left -= budget
         t_len, t_rows, t_cols, t_exact = backend.ladder_search(
-            bitmasks(t.entries >= th.r), bitmasks((t.entries <= th.s).T), budget, cap=cap
+            bitmasks(t.entries >= th.r), bitmasks((t.entries <= th.s).T), budget, floor
         )
         if t_len > length:
             length, rows, cols = t_len, t_cols[::-1], t_rows[::-1]
-        if left > 0:
-            if t_exact:
-                cap = t_len  # the true maximum, so at most any cap passed in
+        if t_exact and not t_rows:
+            exact = True  # the probe proved that no ladder is longer than floor
+        elif left > 0:
             f_len, f_rows, f_cols, exact = backend.ladder_search(
-                ge_by_col, le_by_row, left, floor=length - 1, cap=cap
+                ge_by_col,
+                le_by_row,
+                left,
+                floor=max(floor, length - 1),
+                cap=t_len if t_exact else None,  # an exact probe found the maximum
             )
             if f_rows:
                 length, rows, cols = f_len, f_rows, f_cols
-    if length == 0:
+    if not rows:
+        if floor:
+            return LadderResult(floor, None, exact)
         length, rows, cols = 1, (0,), (0,)
     return LadderResult(length, LadderWitness(rows, cols, th), exact)
 
@@ -259,6 +267,15 @@ def alternation_rank(
     raise ValueError(f"unknown variant {variant!r}")
 
 
+def _own_gap(t: EvalTable, w: LadderWitness) -> float:
+    """The widest r - s at which `w` (length >= 2) is a ladder: its smallest
+    below-diagonal entry minus its largest above-diagonal entry."""
+    cells = t.entries[np.ix_(w.rows, w.cols)].tolist()
+    below = min(v for k, row in enumerate(cells) for v in row[:k])
+    above = max(v for k, row in enumerate(cells) for v in row[k + 1 :])
+    return below - above
+
+
 def stability_spectrum(
     t: EvalTable, max_len: int, exact_limit: int = DEFAULT_EXACT_LIMIT
 ) -> list[tuple[int, float | None]]:
@@ -269,51 +286,59 @@ def stability_spectrum(
     With values sorted, the ladder length at (values[a], values[b]) never
     falls as a rises and never rises as b rises, so for each l the largest
     feasible b is nondecreasing in a.  One downward staircase walk per l
-    (saddleback search) finds it for every a, and lengths are memoized by
-    (a, b), so the function makes O(V * max_len) ladder calls for V
-    distinct values rather than V(V-1)/2.  The `<= s` masks are built once
-    per value a and the `>= r` masks once per value b, and each call stops
-    at the length of its neighbours (a + 1, b) and (a, b - 1) when these
-    are known and exact, since neither a lower s nor a higher r lengthens a
-    ladder.  Every reported gap is attained by a ladder that exists, so it
-    is a sound lower bound even when a call exhausts `exact_limit`; it
-    equals the all-pairs maximum whenever every ladder call is exact.
+    (saddleback search) follows it with decision calls: the ladder call at
+    a cell asks only for ladders longer than l - 1, so its bound cuts prune
+    at full strength from the first node.  A cell is asked only when its
+    gap beats the best gap so far (b stays an upper bound on the staircase,
+    which never rises as a falls).  A ladder found credits its own gap, its
+    smallest below-diagonal entry minus its largest above-diagonal entry: a
+    pair of table values at least as wide as the cell's, so cells that
+    cannot beat it are never asked, at l and at every longer length the
+    ladder reaches.  Each pair is searched at most once, and the `<= s` and
+    `>= r` masks are built once per value.  Every reported gap is attained
+    by a ladder that exists, so it is a sound lower bound even when a call
+    exhausts `exact_limit`; it equals the all-pairs maximum whenever every
+    ladder call is exact.
     """
     if max_len < 2:
         raise ValueError("max_len must be >= 2")
     values = sorted(set(t.entries.ravel().tolist()))
     le_masks: dict[int, list[int]] = {}
     ge_masks: dict[int, list[int]] = {}
-    lengths: dict[tuple[int, int], int] = {}
-    proven: dict[tuple[int, int], int] = {}  # lengths of the exact calls
+    # (a, b) -> (length of the ladder found, its own gap), or (l - 1, None)
+    # when the call asking for length l found none
+    searched: dict[tuple[int, int], tuple[int, float | None]] = {}
 
-    def ladder_length(a: int, b: int) -> int:
-        if (a, b) not in lengths:
+    def own_gap(a: int, b: int, length: int) -> float | None:
+        """The own gap of a ladder of at least `length` at (a, b), if found."""
+        if (a, b) not in searched:
             if a not in le_masks:
                 le_masks[a] = bitmasks(t.entries <= values[a])
             if b not in ge_masks:
                 ge_masks[b] = bitmasks((t.entries >= values[b]).T)
-            caps = [proven[k] for k in ((a + 1, b), (a, b - 1)) if k in proven]
             th = ThresholdPair(values[a], values[b])
-            res = _ladder(t, th, ge_masks[b], le_masks[a], exact_limit, min(caps, default=None))
-            lengths[a, b] = res.length
-            if res.exact:
-                proven[a, b] = res.length
-        return lengths[a, b]
+            res = _ladder(t, th, ge_masks[b], le_masks[a], exact_limit, floor=length - 1)
+            gap = None if res.witness is None else _own_gap(t, res.witness)
+            searched[a, b] = (res.length, gap)
+        found, gap = searched[a, b]
+        return gap if found >= length else None
 
     spectrum = []
     for length in range(2, max_len + 1):
-        best_gap = None
+        best = max(
+            (gap for found, gap in searched.values() if gap is not None and found >= length),
+            default=-math.inf,
+        )
         b = len(values) - 1
         for a in range(len(values) - 2, -1, -1):
             # pairs with b <= a are out of range, not infeasible: go on to a - 1
-            while b > a and ladder_length(a, b) < length:
-                b -= 1
-            if b > a:
-                gap = values[b] - values[a]
-                if best_gap is None or gap > best_gap:
-                    best_gap = gap
-        spectrum.append((length, best_gap))
+            while b > a and values[b] - values[a] > best:
+                gap = own_gap(a, b, length)
+                if gap is None:
+                    b -= 1
+                else:
+                    best = gap  # at least values[b] - values[a]
+        spectrum.append((length, best if best > -math.inf else None))
     return spectrum
 
 

@@ -218,6 +218,9 @@ def test_analyze_defaults_are_classify_params(half_graph_file, capsys):
     ["analyze", "--input", "TABLE", "--eps", "0"],
     ["analyze", "--input", "TABLE", "--kmax", "0"],
     ["analyze", "--input", "TABLE", "--exact-limit", "-1"],
+    ["analyze", "--input", "TABLE", "--min-ladder", "-1"],
+    ["analyze", "--input", "TABLE", "--min-ip-dim", "-2"],
+    ["analyze", "--input", "TABLE", "--min-chain", "0"],
     ["talagrand", "--input", "TABLE", "--kmax", "0"],
     ["talagrand", "--input", "TABLE", "--kmax", "1", "--mc-samples", "-5", "--seed", "1"],
     ["talagrand", "--input", "TABLE", "--mc-samples", "10", "--kmax", "400"],
@@ -226,8 +229,9 @@ def test_analyze_defaults_are_classify_params(half_graph_file, capsys):
     ["dichotomy-scan", "--kind", "half_graph", "--n", "4", "--trials", "1",
      "--exact-limit", "-1"],
     ["generate", "--kind", "random_table", "--p", "2"],
-], ids=["eps", "analyze-kmax", "analyze-exact-limit", "talagrand-kmax", "mc-samples",
-        "mc-kmax-past-float", "thresholds", "trials", "scan-exact-limit", "p"])
+], ids=["eps", "analyze-kmax", "analyze-exact-limit", "min-ladder", "min-ip-dim", "min-chain",
+        "talagrand-kmax", "mc-samples", "mc-kmax-past-float", "thresholds", "trials",
+        "scan-exact-limit", "p"])
 def test_bad_parameter_values_are_usage_errors(half_graph_file, capsys, argv):
     argv = [half_graph_file if a == "TABLE" else a for a in argv]
     code, out, err = run(capsys, *argv)

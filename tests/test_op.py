@@ -265,6 +265,42 @@ def test_ladder_passes_share_one_budget(monkeypatch, exact_limit):
     assert res.exact == (exact_limit == 10**6)
 
 
+@pytest.mark.parametrize("n", [63, 64, 65])
+def test_floored_ladder_half_graph(n):
+    t = half_graph(n)
+    ge_by_col = bitmasks((t.entries >= TH.r).T)
+    le_by_row = bitmasks(t.entries <= TH.s)
+    res = op._ladder(t, TH, ge_by_col, le_by_row, op.DEFAULT_EXACT_LIMIT, floor=n)
+    assert (res.length, res.witness, res.exact) == (n, None, True)
+    res = op._ladder(t, TH, ge_by_col, le_by_row, op.DEFAULT_EXACT_LIMIT, floor=n - 1)
+    assert (res.length, res.exact) == (n, True)
+    assert res.witness == max_ladder(t, TH).witness
+
+
+def test_floored_ladder_probe_proves_floor(monkeypatch):
+    # at floor 7, the maximum, the forward search outruns its first slice
+    # and the transposed probe proves that no ladder is longer: no rerun
+    t = transpose(random_table(18, 18, "bernoulli", seed=[0, 18, 99]))
+    full = max_ladder(t, TH)
+    assert (full.length, full.exact) == (7, True)
+    ge_by_col = bitmasks((t.entries >= TH.r).T)
+    le_by_row = bitmasks(t.entries <= TH.s)
+    passes = []
+    search = backend.ladder_search
+
+    def recorded(*args, **kwargs):
+        res = search(*args, **kwargs)
+        passes.append(res[3])
+        return res
+
+    monkeypatch.setattr(backend, "ladder_search", recorded)
+    res = op._ladder(t, TH, ge_by_col, le_by_row, op.DEFAULT_EXACT_LIMIT, floor=7)
+    assert (res.length, res.witness, res.exact) == (7, None, True)
+    assert passes == [False, True]
+    res = op._ladder(t, TH, ge_by_col, le_by_row, op.DEFAULT_EXACT_LIMIT, floor=6)
+    assert (res.length, res.witness, res.exact) == (7, full.witness, True)
+
+
 def test_alternation_witness_validity(tbl):
     t = tbl([[0.0, 1.0], [0.0, 0.0]], bound=1.0)
     w = AlternationWitness("ii", ((0, 0), (1, 1)), E1)
@@ -480,6 +516,11 @@ def _spectrum_tables():
         tables.append((f"round{digits}", EvalTable(vals, bound=1.0)))
     for r, c in ((8, 8), (12, 8), (8, 12)):
         tables.append((f"b{r}x{c}", random_table(r, c, "bernoulli", seed=[r, c, 11])))
+    # values 0..4: many pairs tie on their gap and many ladders share a pair
+    for n in (9, 11):
+        vals = np.random.default_rng([n, 12]).integers(0, 5, size=(n, n))
+        tables.append((f"int{n}x{n}", EvalTable(vals, bound=4.0)))
+    tables += [(f"u{n}x{n}", random_table(n, n, "uniform", seed=[n, 9])) for n in (11, 12)]
     return [pytest.param(t, id=name) for name, t in tables]
 
 
@@ -507,31 +548,36 @@ def test_stability_spectrum_call_count(monkeypatch):
     monkeypatch.setattr(op, "_ladder", counted)
     stability_spectrum(t, 10)
     assert calls
-    assert len(calls) <= 2 * n_values * (10 - 1)
+    assert len(calls) <= 3 * n_values
     assert len(set(calls)) == len(calls)  # memoized: each pair at most once
 
 
 @pytest.mark.parametrize("n", [8, 10])
 def test_stability_spectrum_sound_under_tiny_budget(monkeypatch, n):
-    # with 30 nodes many calls run out; a call is capped only by an exact
-    # neighbour, so a call flagged exact has the true length, and every gap
-    # comes from a real ladder
+    # with 30 nodes many calls run out; each call asks only for ladders
+    # longer than its floor, so an exact call either shows the true length
+    # or proves the true length is at most the floor, and every gap comes
+    # from a real ladder
     t = random_table(n, n, "uniform", seed=[n, 9])
     calls = []
     ladder = op._ladder
 
     def recorded(*args, **kwargs):
         res = ladder(*args, **kwargs)
-        calls.append((args[1], res))
+        calls.append((args[1], kwargs["floor"], res))
         return res
 
     monkeypatch.setattr(op, "_ladder", recorded)
     spectrum = stability_spectrum(t, n, exact_limit=30)
     monkeypatch.undo()
-    assert any(not res.exact for _, res in calls)
-    for th, res in calls:
-        if res.exact:
+    assert any(not res.exact for _, _, res in calls)
+    for th, floor, res in calls:
+        if not res.exact:
+            continue
+        if res.witness is not None:
             assert res.length == max_ladder(t, th).length, th
+        else:
+            assert max_ladder(t, th).length <= floor, th
     values = sorted(set(t.entries.ravel().tolist()))
     truth = dict(orc.allpairs_spectrum(t, n))
     for length, gap in spectrum:
