@@ -452,30 +452,45 @@ def chain_witness_search(
     return found[0], found[1], exact
 
 
-def dk_count_free(
-    low_by_row: list[int], high_by_row: list[int], members: list[int], a: int, b: int
-):
-    """Exact count of sequences of `a` low rows and `b` high rows from
-    `members`, repeats allowed, whose column masks still intersect.
+def _dk_step(states: dict[int, int], groups: list[tuple[int, int]]) -> dict[int, int]:
+    """One step of the tuple DP: extend every counted sequence by one row
+    of `groups`, keeping the sequences whose mask intersection is non-zero."""
+    new_states: dict[int, int] = {}
+    get = new_states.get
+    for mask, cnt in states.items():
+        for row_mask, rows in groups:
+            m = mask & row_mask
+            if m:
+                new_states[m] = get(m, 0) + cnt * rows
+    return new_states
 
-    With a = b = k this counts the alternating 2k-tuples: a tuple w realizes
-    the pattern iff some column is <= s at every even coordinate and >= r at
-    every odd one.  AND commutes, so the low steps run first.  Counted by
-    dynamic programming over intersection masks, so it scales with the
-    number of distinct masks rather than |E|^(a+b).
+
+def dk_count_free(
+    low: list[tuple[int, int]], high: list[tuple[int, int]], k: int, diagonal: bool
+) -> list[list[int | None]]:
+    """Exact counts `free[a][b]` of sequences of `a` low rows and then `b`
+    high rows, repeats allowed, whose column masks still intersect, for
+    1 <= a, b <= k (only b <= a when `diagonal`; other entries are None).
+
+    `low` and `high` group the member rows by mask: one (mask, number of
+    rows) pair per distinct non-zero mask.  With a = b this counts the
+    alternating 2a-tuples: a tuple w realizes the pattern iff some column is
+    <= s at every even coordinate and >= r at every odd one.  AND commutes,
+    so the low steps run first, once, and the high steps start afresh from
+    the state after each low step.  Counted by dynamic programming over
+    intersection masks, so a step scales with the number of distinct masks
+    rather than rows.  The whole lattice takes O(k^2) steps, and it holds
+    the counts of every k' <= k, so one lattice serves a whole scan over k.
     """
-    states = {~0: 1}
-    for masks in [low_by_row] * a + [high_by_row] * b:
-        new_states: dict[int, int] = {}
-        for mask, cnt in states.items():
-            for p in members:
-                m = mask & masks[p]
-                if m:
-                    new_states[m] = new_states.get(m, 0) + cnt
-        states = new_states
-        if not states:
-            return 0
-    return sum(states.values())
+    free: list[list[int | None]] = [[None] * (k + 1) for _ in range(k + 1)]
+    low_states = {~0: 1}
+    for a in range(1, k + 1):
+        low_states = _dk_step(low_states, low)
+        states = low_states
+        for b in range(1, (a if diagonal else k) + 1):
+            states = _dk_step(states, high)
+            free[a][b] = sum(states.values())
+    return free
 
 
 def _stirling1_row(k: int) -> list[int]:
@@ -489,22 +504,24 @@ def _stirling1_row(k: int) -> list[int]:
     return row
 
 
-def dk_count_distinct(low_by_row: list[int], high_by_row: list[int], members: list[int], k: int):
-    """Exact count of alternating 2k-tuples with pairwise distinct coordinates.
+def dk_count_distinct(free: list[list[int | None]], k: int) -> int:
+    """Exact count of alternating 2k-tuples with pairwise distinct
+    coordinates, from a full (not `diagonal`) lattice `free` of
+    `dk_count_free` over at least k steps.
 
     Mobius inversion on the lattice of set partitions of the 2k coordinates
     (Rota 1964) gives
 
-        distinct(k) = sum_{a,b=1..k} s(k,a) * s(k,b) * dk_count_free(.., a, b)
+        distinct(k) = sum_{a,b=1..k} s(k,a) * s(k,b) * free[a][b]
 
     with s the signed Stirling numbers of the first kind.  A partition block
     holding an even and an odd coordinate would put one row on both sides,
-    so the identity needs `low_by_row[p] & high_by_row[p] == 0` for every
-    member p, which holds whenever s < r.
+    so the identity needs `low & high == 0` on every member row, which holds
+    whenever s < r.
     """
     s = _stirling1_row(k)
     return sum(
-        s[a] * s[b] * dk_count_free(low_by_row, high_by_row, members, a, b)
+        s[a] * s[b] * free[a][b]
         for a in range(1, k + 1)
         for b in range(1, k + 1)
     )

@@ -5,7 +5,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -126,6 +128,65 @@ def _count_shattered(low: np.ndarray, either: np.ndarray, coords: np.ndarray) ->
     return int(seen[:, :-1].all(axis=1).sum())
 
 
+def _positive_int(value, name: str) -> int:
+    """`value` as a plain int (by `operator.index`, so numpy integers
+    pass); ValueError when it is not an integer or is below 1."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1")
+    return value
+
+
+def _tuple_space(n: int, k: int, mode: str, budget: int) -> int:
+    """|E|^(2k) for |E| = n; BudgetExceeded past `budget` in exact mode,
+    ValueError past the float range, since reports hold it as a float."""
+    tuples = n ** (2 * k)
+    if mode == "exact" and tuples > budget:
+        # classify reports carry this message, so keep its float form where one exists
+        shown = float(tuples) if tuples <= sys.float_info.max else f"{n}^{2 * k}"
+        raise BudgetExceeded(f"|E|^(2k) = {shown} exceeds budget {budget}")
+    if tuples > sys.float_info.max:
+        raise ValueError(f"|E|^(2k) = {n}^{2 * k} exceeds the float limit {sys.float_info.max}")
+    return tuples
+
+
+def _mask_groups(flags: np.ndarray) -> list[tuple[int, int]]:
+    """(mask, number of rows) for each distinct non-zero row mask of `flags`."""
+    groups = Counter(bitmasks(flags))
+    groups.pop(0, None)
+    return list(groups.items())
+
+
+def _lattice(t: EvalTable, members: tuple[int, ...], th: ThresholdPair, k_max: int,
+             distinct_coords: bool) -> list[list[int | None]]:
+    """The `backend.dk_count_free` lattice over the member rows grouped by
+    mask, holding every entry that the exact counts for k = 1..k_max read."""
+    rows = t.entries[list(members)]
+    return backend.dk_count_free(_mask_groups(rows <= th.s), _mask_groups(rows >= th.r),
+                                 k_max, diagonal=not distinct_coords)
+
+
+def _exact_report(free: list[list[int | None]], k: int, th: ThresholdPair,
+                  members: tuple[int, ...], tuples: int, distinct_coords: bool) -> DkReport:
+    """The exact report for k, its count read off the lattice `free`."""
+    count = float(backend.dk_count_distinct(free, k) if distinct_coords else free[k][k])
+    denominator = float(tuples)
+    return DkReport(
+        k=k,
+        thresholds=th,
+        subset_E=members,
+        count=count,
+        density=count / denominator,
+        threshold_value=denominator,
+        condition_holds=count < denominator,
+        distinct_coords=distinct_coords,
+        mode="exact",
+    )
+
+
 def dk_count(
     t: EvalTable,
     E: Sequence[int],
@@ -141,39 +202,30 @@ def dk_count(
     even and >= r at odd coordinates (pairwise-distinct coordinates when
     `distinct_coords`).
 
-    Exact mode requires |E|^(2k) <= budget (BudgetExceeded otherwise).
+    Exact mode requires |E|^(2k) <= budget (BudgetExceeded otherwise).  It
+    groups the member rows by low and by high mask and runs one
+    `backend.dk_count_free` lattice, O(k^2) dynamic-programming steps over
+    the distinct masks; distinct counts combine its (a, b) entries by Mobius
+    inversion (`backend.dk_count_distinct`).
     mc mode draws `samples` seeded uniform tuples in numpy batches (Floyd's
     subset algorithm and a random order when distinct) and returns an
     unbiased count estimate with its standard error.  Both modes raise
     ValueError when |E|^(2k) exceeds the float range, since the report
-    holds it as a float.
+    holds it as a float, and when k is not an integer >= 1.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    k = _positive_int(k, "k")
     if mode == "mc" and samples < 1:
         raise ValueError("samples must be >= 1")
     members = _check_subset(t, E)
     n = len(members)
-    tuples = n ** (2 * k)
-    if mode == "exact" and tuples > budget:
-        # classify reports carry this message, so keep its float form where one exists
-        shown = float(tuples) if tuples <= sys.float_info.max else f"{n}^{2 * k}"
-        raise BudgetExceeded(f"|E|^(2k) = {shown} exceeds budget {budget}")
-    if tuples > sys.float_info.max:
-        raise ValueError(f"|E|^(2k) = {n}^{2 * k} exceeds the float limit {sys.float_info.max}")
+    tuples = _tuple_space(n, k, mode, budget)
+    if mode == "exact":
+        free = _lattice(t, members, th, k, distinct_coords)
+        return _exact_report(free, k, th, members, tuples, distinct_coords)
     denominator = float(tuples)
     space = float(math.perm(n, 2 * k)) if distinct_coords else denominator
 
-    if mode == "exact":
-        rows = list(members)
-        low_by_row = bitmasks(t.entries <= th.s)
-        high_by_row = bitmasks(t.entries >= th.r)
-        if distinct_coords:
-            count: float = float(backend.dk_count_distinct(low_by_row, high_by_row, rows, k))
-        else:
-            count = float(backend.dk_count_free(low_by_row, high_by_row, rows, k, k))
-        std_error = None
-    elif mode == "mc":
+    if mode == "mc":
         if seed is None:
             raise ValueError("mc mode requires a seed")
         rng = np.random.default_rng(seed)
@@ -204,8 +256,8 @@ def dk_count(
         distinct_coords=distinct_coords,
         mode=mode,
         std_error=std_error,
-        seed=seed if mode == "mc" else None,
-        samples=samples if mode == "mc" else None,
+        seed=seed,
+        samples=samples,
     )
 
 
@@ -217,16 +269,21 @@ def almost_nip_scan(
     distinct_coords: bool = True,
     budget: int = DEFAULT_TUPLE_BUDGET,
 ) -> tuple[int | None, list[DkReport]]:
-    """Smallest k <= k_max with count < |E|^(2k), plus all per-k reports."""
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
-    reports = []
-    k_min = None
-    for k in range(1, k_max + 1):
-        rep = dk_count(t, E, k, th, distinct_coords=distinct_coords, budget=budget)
-        reports.append(rep)
-        if k_min is None and rep.condition_holds:
-            k_min = k
+    """Smallest k <= k_max with count < |E|^(2k), plus all per-k reports,
+    each equal to `dk_count`'s exact report for that k.
+
+    The first k whose |E|^(2k) exceeds `budget` or the float range raises
+    as `dk_count` does, before any counting; otherwise one
+    `backend.dk_count_free` lattice over k_max gives every k's count, so a
+    scan takes O(k_max^2) dynamic-programming steps.
+    """
+    k_max = _positive_int(k_max, "k_max")
+    members = _check_subset(t, E)
+    spaces = [_tuple_space(len(members), k, "exact", budget) for k in range(1, k_max + 1)]
+    free = _lattice(t, members, th, k_max, distinct_coords)
+    reports = [_exact_report(free, k, th, members, tuples, distinct_coords)
+               for k, tuples in enumerate(spaces, 1)]
+    k_min = next((rep.k for rep in reports if rep.condition_holds), None)
     return k_min, reports
 
 
@@ -246,8 +303,7 @@ def shattered_tuple_fraction(
 
     It is 0.0 without a search when 2^n exceeds the number of columns,
     since a column realizes at most one of the 2^n patterns."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _positive_int(n, "n")
     if mode == "mc" and samples < 1:
         raise ValueError("samples must be >= 1")
     members = _check_subset(t, E)

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import itertools
+import json
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -13,6 +15,7 @@ from dividing_lines import (
     EvalTable,
     ThresholdPair,
     almost_nip_scan,
+    cantor_example,
     dk_count,
     full_pattern,
     half_graph,
@@ -20,7 +23,7 @@ from dividing_lines import (
     shattered_tuple_fraction,
     transpose,
 )
-from dividing_lines import talagrand
+from dividing_lines import backend, talagrand
 from dividing_lines.errors import BudgetExceeded, EmptySubset
 
 TH = ThresholdPair(0.0, 1.0)
@@ -71,6 +74,100 @@ def test_dk_count_matches_oracle():
             for distinct in (False, True):
                 rep = dk_count(t, members, k, TH, distinct_coords=distinct)
                 assert rep.count == orc.brute_dk_count(t, members, k, 0.0, 1.0, distinct)
+
+
+def _repeated_mask_cases() -> list[tuple[EvalTable, list[int], int]]:
+    """(table, E, k_max) cases in which many member rows share a low or a
+    high mask; k = 3 runs on row subsets so the oracle stays quick."""
+    bernoulli = [random_table(12, m, seed=[4, m]) for m in (2, 3)]
+    cantor = cantor_example(2, 4).table
+    return [
+        (cantor_example(1, 3).table, list(range(8)), 3),
+        (cantor, list(range(16)), 2),
+        (cantor, list(range(0, 16, 3)), 3),
+        *[(t, list(range(12)), 2) for t in bernoulli],
+        *[(t, list(range(0, 12, 2)), 3) for t in bernoulli],
+        (half_graph(4), [0, 0, 1, 2], 3),
+        # 70 columns: row masks past bit 63
+        (random_table(4, 70, seed=[5, 0]), list(range(4)), 3),
+    ]
+
+
+@pytest.mark.parametrize("distinct", [False, True])
+def test_scan_matches_oracle_and_dk_count(distinct):
+    for t, E, k_max in _repeated_mask_cases():
+        members = sorted(set(E))
+        k_min, reports = almost_nip_scan(t, E, TH, k_max, distinct_coords=distinct)
+        assert [rep.k for rep in reports] == list(range(1, k_max + 1))
+        for rep in reports:
+            assert rep == dk_count(t, E, rep.k, TH, distinct_coords=distinct)
+            assert rep.count == orc.brute_dk_count(t, members, rep.k, 0.0, 1.0, distinct)
+        assert k_min == next((rep.k for rep in reports if rep.condition_holds), None)
+
+
+def test_kernels_run_once_per_count(monkeypatch):
+    # perfbench/tracing.py wraps both kernels by name, so they must exist
+    # and be called through the backend module; one lattice serves a scan
+    calls = []
+    for name in ("dk_count_free", "dk_count_distinct"):
+        kernel = getattr(backend, name)
+        monkeypatch.setattr(backend, name,
+                            lambda *args, kernel=kernel, name=name, **kwargs:
+                            calls.append(name) or kernel(*args, **kwargs))
+    t = half_graph(6)
+    almost_nip_scan(t, range(6), TH, 3)
+    assert calls == ["dk_count_free"] + ["dk_count_distinct"] * 3
+    calls.clear()
+    dk_count(t, range(6), 2, TH, distinct_coords=False)
+    assert calls == ["dk_count_free"]
+    calls.clear()
+    dk_count(t, range(6), 2, TH)
+    assert calls == ["dk_count_free", "dk_count_distinct"]
+
+
+def test_scan_steps_quadratic_in_k():
+    # O(k^2) dynamic-programming steps take a few hundredths of a second
+    # here; a DP per (a, b) pair and per k, O(k^4) steps, takes over ten
+    t0 = time.perf_counter()
+    k_min, reports = almost_nip_scan(half_graph(4), range(4), TH, 60, budget=10**500)
+    assert time.perf_counter() - t0 < 1.0
+    assert k_min == 1 and len(reports) == 60
+    assert [rep.count for rep in reports[:3]] == [6.0, 4.0, 0.0]
+
+
+def test_scan_stops_at_budget_and_float_range():
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="float limit"):
+        almost_nip_scan(half_graph(4), range(4), TH, 400, budget=10**500)
+    assert time.perf_counter() - t0 < 1.0
+    # 30^2 is within the budget and 30^4 is not
+    t = random_table(30, 3, seed=0)
+    with pytest.raises(BudgetExceeded) as single:
+        dk_count(t, range(30), 2, TH, budget=10**5)
+    with pytest.raises(BudgetExceeded) as scan:
+        almost_nip_scan(t, range(30), TH, 5, budget=10**5)
+    assert str(scan.value) == str(single.value)
+
+
+@pytest.mark.parametrize("count", [
+    lambda t: dk_count(t, range(4), 1.5, TH),
+    lambda t: almost_nip_scan(t, range(4), TH, 2.0),
+    lambda t: shattered_tuple_fraction(t, range(4), 1.5, TH),
+], ids=["dk_count", "almost_nip_scan", "shattered_tuple_fraction"])
+def test_count_parameters_must_be_integers(count):
+    with pytest.raises(ValueError, match="must be an integer"):
+        count(half_graph(4))
+
+
+def test_count_parameters_take_numpy_integers():
+    t = half_graph(4)
+    rep = dk_count(t, range(4), np.int64(2), TH)
+    assert type(rep.k) is int and rep == dk_count(t, range(4), 2, TH)
+    json.dumps(rep.to_dict())
+    k_min, reports = almost_nip_scan(t, range(4), TH, np.int64(2))
+    assert (k_min, reports) == almost_nip_scan(t, range(4), TH, 2)
+    assert [type(rep.k) for rep in reports] == [int, int]
+    assert shattered_tuple_fraction(full_pattern(3), range(8), np.int64(1), TH) == 0.75
 
 
 def _zeros_alternating_in_column_66() -> EvalTable:
