@@ -1,7 +1,8 @@
 """Search kernels over row/column bitmasks.
 
 These are the hot inner loops of the detectors.  Masks are Python ints
-built by `core.bitmasks`, so every kernel works at any table width.
+built by `core.bitmasks`, so every kernel works at any table width; the
+`<= s` and `>= r` masks come from one `core.ThresholdMasks` per table.
 Every search is deterministic: candidates are tried in ascending index
 order and the first witness found at the record length is kept, which
 makes it the lexicographically smallest maximal witness.

@@ -8,7 +8,7 @@ from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
 from . import ip, op, sop, talagrand
-from .core import Epsilon, EvalTable, ThresholdPair, serialize, transpose
+from .core import Epsilon, EvalTable, ThresholdMasks, ThresholdPair, serialize, transpose
 from .errors import DividingLinesError, InvalidWitness, SearchBudgetExceeded
 from .generators import GeneratorConfig, generate
 from .op import AlternationWitness, LadderWitness
@@ -36,13 +36,15 @@ class ClassifyParams:
     tuple_budget: int = talagrand.DEFAULT_TUPLE_BUDGET
 
     def __post_init__(self) -> None:
-        # 0 runs no search, so every search result is inexact
-        if self.exact_limit < 0:
-            raise ValueError(f"exact_limit must be >= 0, got {self.exact_limit}")
+        # 0 runs no search and no count: results are inexact or budget errors
+        for name in ("exact_limit", "tuple_budget"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         # every length meets a cutoff below 1, so its verdict would always be true
         for name in ("min_ladder", "min_ip_dim", "min_chain"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        object.__setattr__(self, "k_max", talagrand._positive_int(self.k_max, "k_max"))
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -124,42 +126,30 @@ def classify(t: EvalTable, params: ClassifyParams = ClassifyParams()) -> Classif
     sections: dict = {}
     errors: list[tuple[str, str]] = []
 
-    def run(name: str, fn):
+    def run(name: str, fn, *args):
         try:
-            sections[name] = fn()
+            sections[name] = fn(*args)
         except DividingLinesError as exc:
             sections[name] = None
             errors.append((name, f"{type(exc).__name__}: {exc}"))
 
+    # the `<= s` and `>= r` masks every threshold detector reads
+    masks = ThresholdMasks(t)
+
     def run_ladder():
-        res = op.max_ladder(t, th, params.exact_limit)
-        return {
-            "length": res.length,
-            "exact": res.exact,
-            "witness": _checked_witness(t, res.witness),
-        }
+        res = op._ladder(masks, th, params.exact_limit)
+        return {"length": res.length, "exact": res.exact,
+                "witness": _checked_witness(t, res.witness)}
 
     def run_alt(variant):
-        def go():
-            res = op.alternation_rank(t, eps, variant, params.exact_limit)
-            return {
-                "rank": res.rank,
-                "exact": res.exact,
-                "witness": _checked_witness(t, res.witness),
-            }
+        res = op.alternation_rank(t, eps, variant, params.exact_limit)
+        return {"rank": res.rank, "exact": res.exact,
+                "witness": _checked_witness(t, res.witness)}
 
-        return go
-
-    def run_shatter(table):
-        def go():
-            res = ip.shattering_dimension(table, th, params.exact_limit)
-            return {
-                "dim": res.dim,
-                "exact": res.exact,
-                "witness": _checked_witness(table, res.witness),
-            }
-
-        return go
+    def run_shatter(dual):
+        res = ip._shattering_dimension(masks, th, params.exact_limit, dual)
+        return {"dim": res.dim, "exact": res.exact,
+                "witness": _checked_witness(transpose(t) if dual else t, res.witness)}
 
     # the column pre-order both chain detectors search
     above = sop._above_masks(t)
@@ -179,17 +169,16 @@ def classify(t: EvalTable, params: ClassifyParams = ClassifyParams()) -> Classif
         return {"status": "found", "witness": _checked_witness(t, w)}
 
     def run_talagrand():
-        k_min, reports = talagrand.almost_nip_scan(
-            t, range(t.n_rows), th, params.k_max,
-            distinct_coords=params.distinct_coords, budget=params.tuple_budget,
+        k_min, reports = talagrand._almost_nip_scan(
+            masks, range(t.n_rows), th, params.k_max, params.distinct_coords, params.tuple_budget
         )
         return {"k_min": k_min, "reports": [r.to_dict() for r in reports]}
 
     run("ladder", run_ladder)
-    run("alternation_ii", run_alt("ii"))
-    run("alternation_iii", run_alt("iii"))
-    run("shattering_primal", run_shatter(t))
-    run("shattering_dual", run_shatter(transpose(t)))
+    run("alternation_ii", run_alt, "ii")
+    run("alternation_iii", run_alt, "iii")
+    run("shattering_primal", run_shatter, False)
+    run("shattering_dual", run_shatter, True)
     run("strict_chain", run_chain)
     run("sop_literal", run_sop_literal)
     run("talagrand", run_talagrand)

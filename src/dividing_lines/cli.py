@@ -147,18 +147,19 @@ def _cmd_analyze(args) -> int:
 def _cmd_talagrand(args) -> int:
     t = _load_input(args)
     th = ThresholdPair(args.s, args.r)
+    k_max = talagrand._positive_int(args.kmax, "k_max")
     if args.mc_samples:
         reports = [
             talagrand.dk_count(
                 t, range(t.n_rows), k, th, distinct_coords=args.distinct_coords,
                 mode="mc", seed=args.seed, samples=args.mc_samples,
             )
-            for k in range(1, args.kmax + 1)
+            for k in range(1, k_max + 1)
         ]
         k_min = next((r.k for r in reports if r.condition_holds), None)
     else:
         k_min, reports = talagrand.almost_nip_scan(
-            t, range(t.n_rows), th, args.kmax, distinct_coords=args.distinct_coords
+            t, range(t.n_rows), th, k_max, distinct_coords=args.distinct_coords
         )
     _emit({"k_min": k_min, "reports": [r.to_dict() for r in reports]}, args)
     return EXIT_OK

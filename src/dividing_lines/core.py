@@ -179,6 +179,23 @@ def bitmasks(flags) -> list[int]:
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
+class ThresholdMasks(dict):
+    """The `<= s` and `>= r` bitmasks of table `t` that every detector reads,
+    each list built on first use and then kept.  Key (op, v, by_col), op
+    `operator.le` or `operator.ge`: `bitmasks(op(t.entries, v))`, one mask per
+    row, or per column with `by_col` (the per-row masks of `transpose(t)`)."""
+
+    def __init__(self, t: EvalTable):
+        super().__init__()
+        self.t = t
+
+    def __missing__(self, key: tuple) -> list[int]:
+        op, v, by_col = key
+        flags = op(self.t.entries, v)
+        self[key] = masks = bitmasks(flags.T if by_col else flags)
+        return masks
+
+
 def indices(t: EvalTable, idx: Iterable, axis: int) -> tuple[int, ...]:
     """The indices `idx` of rows (axis 0) or columns (axis 1) of `t`, as
     ints.  Raises IndexOutOfRange at the first one that is not an integer

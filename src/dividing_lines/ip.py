@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import ge, le
 from typing import Mapping, Sequence
 
 from . import backend
-from .core import EvalTable, ThresholdPair, bitmasks, indices
+from .core import EvalTable, ThresholdMasks, ThresholdPair, indices
 from .errors import InvalidWitness, TooManyColumns
 from .op import DEFAULT_EXACT_LIMIT, LadderWitness
 
@@ -91,8 +92,8 @@ def is_shattered(
     if len(cols) > MAX_SHATTER_COLS:
         raise TooManyColumns(f"{len(cols)} columns exceed the limit of {MAX_SHATTER_COLS}")
     cols = indices(t, cols, 1)
-    low_by_col = bitmasks((t.entries <= th.s).T)
-    high_by_col = bitmasks((t.entries >= th.r).T)
+    masks = ThresholdMasks(t)
+    low_by_col, high_by_col = masks[le, th.s, True], masks[ge, th.r, True]
     full = (1 << t.n_rows) - 1
     selector = {}
     for pattern in range(1 << len(cols)):
@@ -114,17 +115,24 @@ def shattering_dimension(
     Distinct patterns need distinct selector rows, so the dimension is
     capped at floor(log2(n_rows)).
     """
-    low_by_col = bitmasks((t.entries <= th.s).T)
-    high_by_col = bitmasks((t.entries >= th.r).T)
-    max_k = min(int(math.log2(t.n_rows)) if t.n_rows > 1 else 0, MAX_SHATTER_COLS, t.n_cols)
+    return _shattering_dimension(ThresholdMasks(t), th, exact_limit)
+
+
+def _shattering_dimension(masks: ThresholdMasks, th: ThresholdPair, exact_limit: int,
+                          dual: bool = False) -> ShatterDimResult:
+    """`shattering_dimension` of the mask set's table, or with `dual` of its
+    transpose, whose columns are the table's rows."""
+    n_rows, n_cols = masks.t.entries.shape[::-1] if dual else masks.t.entries.shape
+    low_by_col, high_by_col = masks[le, th.s, not dual], masks[ge, th.r, not dual]
+    max_k = min(int(math.log2(n_rows)) if n_rows > 1 else 0, MAX_SHATTER_COLS, n_cols)
     if max_k == 0:
         return ShatterDimResult(0, None, True)
-    dim, cols, masks, exact = backend.shatter_dim_search(
-        low_by_col, high_by_col, t.n_rows, max_k, exact_limit
+    dim, cols, selector_masks, exact = backend.shatter_dim_search(
+        low_by_col, high_by_col, n_rows, max_k, exact_limit
     )
     if dim == 0:
         return ShatterDimResult(0, None, exact)
-    selector = {p: (m & -m).bit_length() - 1 for p, m in enumerate(masks)}
+    selector = {p: (m & -m).bit_length() - 1 for p, m in enumerate(selector_masks)}
     return ShatterDimResult(dim, ShatterWitness(cols, th, selector), exact)
 
 

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import ge, le
 from typing import Literal, Sequence
 
 import numpy as np
 
 from . import backend
-from .core import Epsilon, EvalTable, ThresholdPair, bitmasks, blocks, column_blocks, indices
+from .core import (Epsilon, EvalTable, ThresholdMasks, ThresholdPair, bitmasks, blocks,
+                   column_blocks, indices)
 
 DEFAULT_EXACT_LIMIT = 10**6
 # nodes for the first forward ladder pass and for the transposed probe; most
@@ -163,23 +165,16 @@ def max_ladder(
     is the longest ladder any pass found, a sound lower bound flagged
     `exact=False`.
     """
-    ge_by_col = bitmasks((t.entries >= th.r).T)
-    le_by_row = bitmasks(t.entries <= th.s)
-    return _ladder(t, th, ge_by_col, le_by_row, exact_limit)
+    return _ladder(ThresholdMasks(t), th, exact_limit)
 
 
-def _ladder(
-    t: EvalTable,
-    th: ThresholdPair,
-    ge_by_col: list[int],
-    le_by_row: list[int],
-    exact_limit: int,
-    floor: int = 0,
-) -> LadderResult:
-    """`max_ladder` on masks the caller built, looking only for ladders
+def _ladder(masks: ThresholdMasks, th: ThresholdPair, exact_limit: int,
+            floor: int = 0) -> LadderResult:
+    """`max_ladder` of the mask set's table, looking only for ladders
     longer than `floor`.  When `floor` >= 1 and no longer ladder is found,
     the result has length `floor` and no witness; `exact` then says that
     none exists."""
+    ge_by_col, le_by_row = masks[ge, th.r, True], masks[le, th.s, False]
     budget = min(exact_limit, _LADDER_SLICE)
     length, rows, cols, exact = backend.ladder_search(ge_by_col, le_by_row, budget, floor)
     left = exact_limit - budget
@@ -187,7 +182,7 @@ def _ladder(
         budget = min(left, _LADDER_SLICE)
         left -= budget
         t_len, t_rows, t_cols, t_exact = backend.ladder_search(
-            bitmasks(t.entries >= th.r), bitmasks((t.entries <= th.s).T), budget, floor
+            masks[ge, th.r, False], masks[le, th.s, True], budget, floor
         )
         if t_len > length:
             length, rows, cols = t_len, t_cols[::-1], t_rows[::-1]
@@ -294,17 +289,16 @@ def stability_spectrum(
     smallest below-diagonal entry minus its largest above-diagonal entry: a
     pair of table values at least as wide as the cell's, so cells that
     cannot beat it are never asked, at l and at every longer length the
-    ladder reaches.  Each pair is searched at most once, and the `<= s` and
-    `>= r` masks are built once per value.  Every reported gap is attained
-    by a ladder that exists, so it is a sound lower bound even when a call
-    exhausts `exact_limit`; it equals the all-pairs maximum whenever every
-    ladder call is exact.
+    ladder reaches.  Each pair is searched at most once, and every call
+    reads one `core.ThresholdMasks`, so each value's masks are built once.
+    Every reported gap is attained by a ladder that exists, so it is a sound
+    lower bound even when a call exhausts `exact_limit`; it equals the
+    all-pairs maximum whenever every ladder call is exact.
     """
     if max_len < 2:
         raise ValueError("max_len must be >= 2")
     values = sorted(set(t.entries.ravel().tolist()))
-    le_masks: dict[int, list[int]] = {}
-    ge_masks: dict[int, list[int]] = {}
+    masks = ThresholdMasks(t)
     # (a, b) -> (length of the ladder found, its own gap), or (l - 1, None)
     # when the call asking for length l found none
     searched: dict[tuple[int, int], tuple[int, float | None]] = {}
@@ -312,12 +306,8 @@ def stability_spectrum(
     def own_gap(a: int, b: int, length: int) -> float | None:
         """The own gap of a ladder of at least `length` at (a, b), if found."""
         if (a, b) not in searched:
-            if a not in le_masks:
-                le_masks[a] = bitmasks(t.entries <= values[a])
-            if b not in ge_masks:
-                ge_masks[b] = bitmasks((t.entries >= values[b]).T)
             th = ThresholdPair(values[a], values[b])
-            res = _ladder(t, th, ge_masks[b], le_masks[a], exact_limit, floor=length - 1)
+            res = _ladder(masks, th, exact_limit, floor=length - 1)
             gap = None if res.witness is None else _own_gap(t, res.witness)
             searched[a, b] = (res.length, gap)
         found, gap = searched[a, b]

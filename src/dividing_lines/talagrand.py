@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from . import backend
-from .core import EvalTable, ThresholdPair, bitmasks, indices
+from .core import EvalTable, ThresholdMasks, ThresholdPair, indices
 from .errors import BudgetExceeded, EmptySubset
 
 DEFAULT_TUPLE_BUDGET = 10**8
@@ -153,19 +153,19 @@ def _tuple_space(n: int, k: int, mode: str, budget: int) -> int:
     return tuples
 
 
-def _mask_groups(flags: np.ndarray) -> list[tuple[int, int]]:
-    """(mask, number of rows) for each distinct non-zero row mask of `flags`."""
-    groups = Counter(bitmasks(flags))
+def _mask_groups(masks: list[int], members: tuple[int, ...]) -> list[tuple[int, int]]:
+    """(mask, number of rows) for each distinct non-zero mask of the member rows."""
+    groups = Counter(masks[i] for i in members)
     groups.pop(0, None)
     return list(groups.items())
 
 
-def _lattice(t: EvalTable, members: tuple[int, ...], th: ThresholdPair, k_max: int,
+def _lattice(masks: ThresholdMasks, members: tuple[int, ...], th: ThresholdPair, k_max: int,
              distinct_coords: bool) -> list[list[int | None]]:
     """The `backend.dk_count_free` lattice over the member rows grouped by
     mask, holding every entry that the exact counts for k = 1..k_max read."""
-    rows = t.entries[list(members)]
-    return backend.dk_count_free(_mask_groups(rows <= th.s), _mask_groups(rows >= th.r),
+    low, high = masks[operator.le, th.s, False], masks[operator.ge, th.r, False]
+    return backend.dk_count_free(_mask_groups(low, members), _mask_groups(high, members),
                                  k_max, diagonal=not distinct_coords)
 
 
@@ -220,7 +220,7 @@ def dk_count(
     n = len(members)
     tuples = _tuple_space(n, k, mode, budget)
     if mode == "exact":
-        free = _lattice(t, members, th, k, distinct_coords)
+        free = _lattice(ThresholdMasks(t), members, th, k, distinct_coords)
         return _exact_report(free, k, th, members, tuples, distinct_coords)
     denominator = float(tuples)
     space = float(math.perm(n, 2 * k)) if distinct_coords else denominator
@@ -277,10 +277,16 @@ def almost_nip_scan(
     `backend.dk_count_free` lattice over k_max gives every k's count, so a
     scan takes O(k_max^2) dynamic-programming steps.
     """
+    return _almost_nip_scan(ThresholdMasks(t), E, th, k_max, distinct_coords, budget)
+
+
+def _almost_nip_scan(masks: ThresholdMasks, E: Sequence[int], th: ThresholdPair, k_max: int,
+                     distinct_coords: bool, budget: int) -> tuple[int | None, list[DkReport]]:
+    """`almost_nip_scan` of the mask set's table."""
     k_max = _positive_int(k_max, "k_max")
-    members = _check_subset(t, E)
+    members = _check_subset(masks.t, E)
     spaces = [_tuple_space(len(members), k, "exact", budget) for k in range(1, k_max + 1)]
-    free = _lattice(t, members, th, k_max, distinct_coords)
+    free = _lattice(masks, members, th, k_max, distinct_coords)
     reports = [_exact_report(free, k, th, members, tuples, distinct_coords)
                for k, tuples in enumerate(spaces, 1)]
     k_min = next((rep.k for rep in reports if rep.condition_holds), None)

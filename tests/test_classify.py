@@ -16,10 +16,13 @@ from dividing_lines import (
     classify,
     dichotomy_scan,
     half_graph,
+    random_table,
     table_digest,
+    transpose,
     validate_witness,
     witness_from_dict,
 )
+from dividing_lines import backend, core
 from dividing_lines.errors import InvalidWitness
 
 SECTION_NAMES = (
@@ -96,6 +99,45 @@ def test_classify_custom_params():
     assert report.parameters == params
     assert report.sections["verdicts"]["op_detected"]
     assert len(report.sections["talagrand"]["reports"]) == 1
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"k_max": 0}, "k_max must be >= 1"),
+    ({"k_max": 1.5}, "k_max must be an integer"),
+    ({"tuple_budget": -1}, "tuple_budget must be >= 0"),
+])
+def test_classify_params_check_counts_at_construction(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        ClassifyParams(**kwargs)
+    params = ClassifyParams(k_max=np.int64(1), tuple_budget=0)
+    assert type(params.k_max) is int
+    assert classify(half_graph(3), params).sections["talagrand"] is None
+
+
+def test_classify_builds_four_threshold_lists(monkeypatch):
+    # `<= s` and `>= r`, each by row and by column, shared by the ladder (its
+    # transposed probe too), both shatterings and the Talagrand scan
+    built, passes = [], []
+    build, search = core.bitmasks, backend.ladder_search
+
+    def counted(flags):
+        built.append(flags.shape)
+        return build(flags)
+
+    def recorded(*args, **kwargs):
+        passes.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(core, "bitmasks", counted)
+    monkeypatch.setattr(backend, "ladder_search", recorded)
+    # the second table's forward ladder outruns its first slice, so the probe runs
+    probed = transpose(random_table(18, 18, "bernoulli", seed=[0, 18, 99]))
+    for t, n_passes in ((half_graph(6), 1), (probed, 3)):
+        built.clear()
+        passes.clear()
+        classify(t, ClassifyParams(exact_limit=30_000))
+        assert len(passes) == n_passes
+        assert len(built) == 4
 
 
 def test_sop_literal_statuses():

@@ -224,14 +224,15 @@ def test_analyze_defaults_are_classify_params(half_graph_file, capsys):
     ["talagrand", "--input", "TABLE", "--kmax", "0"],
     ["talagrand", "--input", "TABLE", "--kmax", "1", "--mc-samples", "-5", "--seed", "1"],
     ["talagrand", "--input", "TABLE", "--mc-samples", "10", "--kmax", "400"],
+    ["talagrand", "--input", "TABLE", "--mc-samples", "10", "--kmax", "0"],
     ["dichotomy-scan", "--kind", "half_graph", "--trials", "1", "--s", "2", "--r", "1"],
     ["dichotomy-scan", "--kind", "half_graph", "--trials", "-1"],
     ["dichotomy-scan", "--kind", "half_graph", "--n", "4", "--trials", "1",
      "--exact-limit", "-1"],
     ["generate", "--kind", "random_table", "--p", "2"],
 ], ids=["eps", "analyze-kmax", "analyze-exact-limit", "min-ladder", "min-ip-dim", "min-chain",
-        "talagrand-kmax", "mc-samples", "mc-kmax-past-float", "thresholds", "trials",
-        "scan-exact-limit", "p"])
+        "talagrand-kmax", "mc-samples", "mc-kmax-past-float", "mc-kmax", "thresholds",
+        "trials", "scan-exact-limit", "p"])
 def test_bad_parameter_values_are_usage_errors(half_graph_file, capsys, argv):
     argv = [half_graph_file if a == "TABLE" else a for a in argv]
     code, out, err = run(capsys, *argv)

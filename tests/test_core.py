@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import json
+from operator import ge, le
 
 import numpy as np
 import pytest
@@ -24,7 +25,8 @@ from dividing_lines import (
     serialize,
     transpose,
 )
-from dividing_lines.core import bitmasks
+from dividing_lines import core
+from dividing_lines.core import ThresholdMasks, bitmasks
 from dividing_lines.errors import (
     BoundViolation,
     EmptyTable,
@@ -163,6 +165,36 @@ def test_bitmasks_match_definition_at_every_width():
         flags[0, width - 1] = True
         for m in (flags, flags.T):
             assert bitmasks(m) == [sum(1 << int(q) for q in np.flatnonzero(row)) for row in m]
+
+
+@pytest.mark.parametrize("width", [31, 32, 33, 63, 64, 65, 128])
+def test_threshold_masks_match_bitmasks(width):
+    rng = np.random.default_rng([width, 7])
+    for shape in ((3, width), (width, 3)):
+        t = EvalTable(rng.integers(0, 3, size=shape).astype(float), bound=2.0)
+        masks = ThresholdMasks(t)
+        for op, v in ((le, 0.0), (le, 1.0), (ge, 1.0), (ge, 2.0)):
+            flags = op(t.entries, v)
+            assert masks[op, v, False] == bitmasks(flags)
+            assert masks[op, v, True] == bitmasks(flags.T)
+        assert len(masks) == 8
+
+
+def test_threshold_masks_build_each_key_once(monkeypatch):
+    built = []
+    build = core.bitmasks
+
+    def counted(flags):
+        built.append(flags.shape)
+        return build(flags)
+
+    monkeypatch.setattr(core, "bitmasks", counted)
+    masks = ThresholdMasks(half_graph(4))
+    first = masks[le, 0.0, True]
+    assert masks[le, 0.0, True] is first
+    masks[ge, 1.0, False]
+    masks[ge, 1.0, False]
+    assert built == [(4, 4), (4, 4)]
 
 
 TH = ThresholdPair(0.0, 1.0)

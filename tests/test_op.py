@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import sys
+from operator import ge, le
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from dividing_lines import (
     transpose,
 )
 from dividing_lines import backend, op
-from dividing_lines.core import bitmasks
+from dividing_lines.core import ThresholdMasks, bitmasks
 
 TH = ThresholdPair(0.0, 1.0)
 E1 = Epsilon(1.0)
@@ -173,6 +174,12 @@ def _square_tables(seeds):
             for (model, n), shape_seeds in seeds.items() for seed in shape_seeds]
 
 
+def _ladder_masks(t, th):
+    # the forward search's lists, `>= r` by column and `<= s` by row
+    masks = ThresholdMasks(t)
+    return masks[ge, th.r, True], masks[le, th.s, False]
+
+
 def _two_orientation_tables():
     # tables whose forward search outruns the first slice of the budget
     return _square_tables({("bernoulli", 20): (0, 2, 3), ("bernoulli", 24): (0, 1, 2, 3),
@@ -188,8 +195,7 @@ def _first_slice_tables():
 
 @pytest.mark.parametrize("t, th", _first_slice_tables())
 def test_ladder_first_slice_suffices(t, th):
-    ge_by_col = bitmasks((t.entries >= th.r).T)
-    le_by_row = bitmasks(t.entries <= th.s)
+    ge_by_col, le_by_row = _ladder_masks(t, th)
     length, rows, cols, exact = backend.ladder_search(ge_by_col, le_by_row, op._LADDER_SLICE)
     assert exact
     res = max_ladder(t, th)
@@ -199,8 +205,7 @@ def test_ladder_first_slice_suffices(t, th):
 
 @pytest.mark.parametrize("t, th", _two_orientation_tables())
 def test_ladder_two_orientations_match_one_pass(t, th):
-    ge_by_col = bitmasks((t.entries >= th.r).T)
-    le_by_row = bitmasks(t.entries <= th.s)
+    ge_by_col, le_by_row = _ladder_masks(t, th)
     assert not backend.ladder_search(ge_by_col, le_by_row, op._LADDER_SLICE)[3]
     length, rows, cols, exact = backend.ladder_search(ge_by_col, le_by_row, op.DEFAULT_EXACT_LIMIT)
     res = max_ladder(t, th)
@@ -219,8 +224,7 @@ def test_ladder_search_budget_monotone():
         for seed in range(3):
             for model, th in (("bernoulli", TH), ("uniform", ThresholdPair(-0.3, 0.3))):
                 t = random_table(n, n, model, seed=[seed, n, 17])
-                ge_by_col = bitmasks((t.entries >= th.r).T)
-                le_by_row = bitmasks(t.entries <= th.s)
+                ge_by_col, le_by_row = _ladder_masks(t, th)
                 results = [backend.ladder_search(ge_by_col, le_by_row, b) for b in budgets]
                 for small, large in zip(results, results[1:]):
                     assert small[0] <= large[0], (n, seed, model)
@@ -268,11 +272,10 @@ def test_ladder_passes_share_one_budget(monkeypatch, exact_limit):
 @pytest.mark.parametrize("n", [63, 64, 65])
 def test_floored_ladder_half_graph(n):
     t = half_graph(n)
-    ge_by_col = bitmasks((t.entries >= TH.r).T)
-    le_by_row = bitmasks(t.entries <= TH.s)
-    res = op._ladder(t, TH, ge_by_col, le_by_row, op.DEFAULT_EXACT_LIMIT, floor=n)
+    masks = ThresholdMasks(t)
+    res = op._ladder(masks, TH, op.DEFAULT_EXACT_LIMIT, floor=n)
     assert (res.length, res.witness, res.exact) == (n, None, True)
-    res = op._ladder(t, TH, ge_by_col, le_by_row, op.DEFAULT_EXACT_LIMIT, floor=n - 1)
+    res = op._ladder(masks, TH, op.DEFAULT_EXACT_LIMIT, floor=n - 1)
     assert (res.length, res.exact) == (n, True)
     assert res.witness == max_ladder(t, TH).witness
 
@@ -283,8 +286,7 @@ def test_floored_ladder_probe_proves_floor(monkeypatch):
     t = transpose(random_table(18, 18, "bernoulli", seed=[0, 18, 99]))
     full = max_ladder(t, TH)
     assert (full.length, full.exact) == (7, True)
-    ge_by_col = bitmasks((t.entries >= TH.r).T)
-    le_by_row = bitmasks(t.entries <= TH.s)
+    masks = ThresholdMasks(t)
     passes = []
     search = backend.ladder_search
 
@@ -294,10 +296,10 @@ def test_floored_ladder_probe_proves_floor(monkeypatch):
         return res
 
     monkeypatch.setattr(backend, "ladder_search", recorded)
-    res = op._ladder(t, TH, ge_by_col, le_by_row, op.DEFAULT_EXACT_LIMIT, floor=7)
+    res = op._ladder(masks, TH, op.DEFAULT_EXACT_LIMIT, floor=7)
     assert (res.length, res.witness, res.exact) == (7, None, True)
     assert passes == [False, True]
-    res = op._ladder(t, TH, ge_by_col, le_by_row, op.DEFAULT_EXACT_LIMIT, floor=6)
+    res = op._ladder(masks, TH, op.DEFAULT_EXACT_LIMIT, floor=6)
     assert (res.length, res.witness, res.exact) == (7, full.witness, True)
 
 
