@@ -8,7 +8,8 @@ from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
 from . import ip, op, sop, talagrand
-from .core import Epsilon, EvalTable, ThresholdMasks, ThresholdPair, serialize, transpose
+from .core import (Epsilon, EvalTable, ThresholdMasks, ThresholdPair, integer, serialize,
+                   transpose)
 from .errors import DividingLinesError, InvalidWitness, SearchBudgetExceeded
 from .generators import GeneratorConfig, generate
 from .op import AlternationWitness, LadderWitness
@@ -36,15 +37,12 @@ class ClassifyParams:
     tuple_budget: int = talagrand.DEFAULT_TUPLE_BUDGET
 
     def __post_init__(self) -> None:
-        # 0 runs no search and no count: results are inexact or budget errors
-        for name in ("exact_limit", "tuple_budget"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        # every length meets a cutoff below 1, so its verdict would always be true
-        for name in ("min_ladder", "min_ip_dim", "min_chain"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        object.__setattr__(self, "k_max", talagrand._positive_int(self.k_max, "k_max"))
+        # a budget of 0 runs no search and no count: results are inexact or
+        # budget errors; every length meets a cutoff below 1, so its verdict
+        # would always be true
+        for name, low in (("exact_limit", 0), ("tuple_budget", 0), ("min_ladder", 1),
+                          ("min_ip_dim", 1), ("min_chain", 1), ("k_max", 1)):
+            object.__setattr__(self, name, integer(getattr(self, name), name, low))
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -237,8 +235,8 @@ def dichotomy_scan(
     long ladder but neither explanation are serialized in full (capped);
     at finite scale they are expected data, not failures.
     """
-    if trials < 0:
-        raise ValueError("trials must be >= 0")
+    trials, seed = integer(trials, "trials", 0), integer(seed, "seed", 0)
+    exception_cap = integer(exception_cap, "exception_cap", 0)
 
     long_ladder = 0
     explained = 0

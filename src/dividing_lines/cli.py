@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__, definability, talagrand
 from .classify import ClassifyParams, classify, validate_witness, witness_from_dict
 from .classify import dichotomy_scan as run_dichotomy_scan
-from .core import EvalTable, ThresholdPair, load_table, serialize, transpose
+from .core import EvalTable, ThresholdPair, integer, load_table, serialize, transpose
 from .errors import (
     BudgetExceeded,
     DividingLinesError,
@@ -147,7 +147,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_talagrand(args) -> int:
     t = _load_input(args)
     th = ThresholdPair(args.s, args.r)
-    k_max = talagrand._positive_int(args.kmax, "k_max")
+    k_max = integer(args.kmax, "k_max", 1)
     if args.mc_samples:
         reports = [
             talagrand.dk_count(

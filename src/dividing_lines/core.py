@@ -123,7 +123,8 @@ class EvalTable:
         )
 
     def __hash__(self):
-        return hash((self.entries.shape, self.bound, self.entries.tobytes()))
+        # + 0.0 turns -0.0 into 0.0, which __eq__ treats as equal
+        return hash((self.entries.shape, self.bound, (self.entries + 0.0).tobytes()))
 
     def __repr__(self) -> str:
         return f"EvalTable({self.n_rows}x{self.n_cols}, bound={self.bound})"
@@ -213,6 +214,19 @@ def indices(t: EvalTable, idx: Iterable, axis: int) -> tuple[int, ...]:
             raise IndexOutOfRange(f"{name} index {j} out of range")
         out.append(j)
     return tuple(out)
+
+
+def integer(value, name: str, low: int, error: type[Exception] = ValueError) -> int:
+    """A size, count, seed or budget `value` as a plain int.  Raises `error`
+    when it is not an integer (by `operator.index`: Python and numpy
+    integers pass; floats, NaN and inf do not) or is below `low`."""
+    try:
+        j = operator.index(value)
+    except TypeError:
+        raise error(f"{name} must be an integer, got {value!r}") from None
+    if j < low:
+        raise error(f"{name} must be >= {low}, got {j}")
+    return j
 
 
 def blocks(n: int, cells: int) -> list[slice]:

@@ -6,7 +6,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import EvalTable
+from .core import EvalTable, integer
 from .errors import InvalidSize
 
 
@@ -47,15 +47,15 @@ class CantorCorpus(NamedTuple):
 
 def half_graph(n: int) -> EvalTable:
     """n x n indicator of the strict linear order: T[i][j] = 1 iff i < j."""
-    if n < 1:
-        raise InvalidSize("n must be >= 1")
+    n = integer(n, "n", 1, InvalidSize)
     entries = (np.arange(n)[:, None] < np.arange(n)[None, :]).astype(np.float64)
     return EvalTable(entries, bound=1.0)
 
 
 def full_pattern(k: int) -> EvalTable:
     """2^k x k table whose row b lists the bits of b; shatters all k columns."""
-    if not (1 <= k <= 20):
+    k = integer(k, "k", 1, InvalidSize)
+    if k > 20:
         raise InvalidSize("k must lie in 1..20")
     rows = np.arange(1 << k)
     entries = ((rows[:, None] >> np.arange(k)[None, :]) & 1).astype(np.float64)
@@ -75,8 +75,8 @@ def random_table(
     value_model "bernoulli": {0,1} entries with success probability p.
     value_model "uniform": entries uniform on [-bound, bound].
     """
-    if n_rows < 1 or n_cols < 1:
-        raise InvalidSize("table dimensions must be positive")
+    n_rows = integer(n_rows, "n_rows", 1, InvalidSize)
+    n_cols = integer(n_cols, "n_cols", 1, InvalidSize)
     rng = np.random.default_rng(seed)
     if value_model == "bernoulli":
         if not (0 <= p <= 1):
@@ -99,7 +99,8 @@ def cantor_example(m: int, L: int) -> CantorCorpus:
     another.  The emitted target is the indicator of the limit set
     {0} union (2/3, 1], toward which the columns stabilize pointwise.
     """
-    if not (1 <= m <= L - 2):
+    m, L = integer(m, "m", 1, InvalidSize), integer(L, "L", 3, InvalidSize)
+    if m > L - 2:
         raise InvalidSize("cantor_example requires 1 <= m <= L - 2")
     # exact integer numerators over 3^L: bit i of the row id chooses digit
     # 0 or 2 at ternary position L - i

@@ -8,7 +8,7 @@ from operator import ge, le
 from typing import Mapping, Sequence
 
 from . import backend
-from .core import EvalTable, ThresholdMasks, ThresholdPair, indices
+from .core import EvalTable, ThresholdMasks, ThresholdPair, indices, integer
 from .errors import InvalidWitness, TooManyColumns
 from .op import DEFAULT_EXACT_LIMIT, LadderWitness
 
@@ -115,7 +115,7 @@ def shattering_dimension(
     Distinct patterns need distinct selector rows, so the dimension is
     capped at floor(log2(n_rows)).
     """
-    return _shattering_dimension(ThresholdMasks(t), th, exact_limit)
+    return _shattering_dimension(ThresholdMasks(t), th, integer(exact_limit, "exact_limit", 0))
 
 
 def _shattering_dimension(masks: ThresholdMasks, th: ThresholdPair, exact_limit: int,

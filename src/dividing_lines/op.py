@@ -11,7 +11,7 @@ import numpy as np
 
 from . import backend
 from .core import (Epsilon, EvalTable, ThresholdMasks, ThresholdPair, bitmasks, blocks,
-                   column_blocks, indices)
+                   column_blocks, indices, integer)
 
 DEFAULT_EXACT_LIMIT = 10**6
 # nodes for the first forward ladder pass and for the transposed probe; most
@@ -165,7 +165,7 @@ def max_ladder(
     is the longest ladder any pass found, a sound lower bound flagged
     `exact=False`.
     """
-    return _ladder(ThresholdMasks(t), th, exact_limit)
+    return _ladder(ThresholdMasks(t), th, integer(exact_limit, "exact_limit", 0))
 
 
 def _ladder(masks: ThresholdMasks, th: ThresholdPair, exact_limit: int,
@@ -244,6 +244,7 @@ def alternation_rank(
     exact_limit: int = DEFAULT_EXACT_LIMIT,
 ) -> AlternationResult:
     """Maximum length of a valid alternation witness of the given variant."""
+    exact_limit = integer(exact_limit, "exact_limit", 0)
     if variant == "ii":
         adj = alternation_ii_adjacency(t, e)
         # a clique uses at most one cell per row and per column
@@ -295,8 +296,8 @@ def stability_spectrum(
     lower bound even when a call exhausts `exact_limit`; it equals the
     all-pairs maximum whenever every ladder call is exact.
     """
-    if max_len < 2:
-        raise ValueError("max_len must be >= 2")
+    max_len = integer(max_len, "max_len", 2)
+    exact_limit = integer(exact_limit, "exact_limit", 0)
     values = sorted(set(t.entries.ravel().tolist()))
     masks = ThresholdMasks(t)
     # (a, b) -> (length of the ladder found, its own gap), or (l - 1, None)

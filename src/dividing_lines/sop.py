@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import backend
-from .core import Epsilon, EvalTable, bitmasks, column_blocks, indices
+from .core import Epsilon, EvalTable, bitmasks, column_blocks, indices, integer
 from .errors import InvalidWitness, SearchBudgetExceeded
 from .op import DEFAULT_EXACT_LIMIT, AlternationWitness
 
@@ -186,8 +186,8 @@ def sop_witness(
     exhaustive search finishes below the node budget; raises
     SearchBudgetExceeded otherwise.
     """
-    if target_m < 2:
-        raise ValueError("target_m must be >= 2")
+    target_m = integer(target_m, "target_m", 2)
+    exact_limit = integer(exact_limit, "exact_limit", 0)
     return _sop_witness(t, e, target_m, exact_limit, _above_masks(t))
 
 

@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from . import backend
-from .core import EvalTable, ThresholdMasks, ThresholdPair, indices
+from .core import EvalTable, ThresholdMasks, ThresholdPair, indices, integer
 from .errors import BudgetExceeded, EmptySubset
 
 DEFAULT_TUPLE_BUDGET = 10**8
@@ -128,18 +128,6 @@ def _count_shattered(low: np.ndarray, either: np.ndarray, coords: np.ndarray) ->
     return int(seen[:, :-1].all(axis=1).sum())
 
 
-def _positive_int(value, name: str) -> int:
-    """`value` as a plain int (by `operator.index`, so numpy integers
-    pass); ValueError when it is not an integer or is below 1."""
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1")
-    return value
-
-
 def _tuple_space(n: int, k: int, mode: str, budget: int) -> int:
     """|E|^(2k) for |E| = n; BudgetExceeded past `budget` in exact mode,
     ValueError past the float range, since reports hold it as a float."""
@@ -169,11 +157,18 @@ def _lattice(masks: ThresholdMasks, members: tuple[int, ...], th: ThresholdPair,
                                  k_max, diagonal=not distinct_coords)
 
 
-def _exact_report(free: list[list[int | None]], k: int, th: ThresholdPair,
-                  members: tuple[int, ...], tuples: int, distinct_coords: bool) -> DkReport:
-    """The exact report for k, its count read off the lattice `free`."""
-    count = float(backend.dk_count_distinct(free, k) if distinct_coords else free[k][k])
-    denominator = float(tuples)
+def _exact_count(free: list[list[int | None]], k: int, distinct_coords: bool) -> int:
+    """The exact count for k, read off the lattice `free`."""
+    return backend.dk_count_distinct(free, k) if distinct_coords else free[k][k]
+
+
+def _report(k: int, th: ThresholdPair, members: tuple[int, ...], tuples: int,
+            distinct_coords: bool, count: float, mode: str = "exact",
+            std_error: float | None = None, seed: int | None = None,
+            samples: int | None = None) -> DkReport:
+    """The report of `count` alternating tuples out of `tuples` = |E|^(2k),
+    with plain floats and bools; the mc fields stay None in exact mode."""
+    count, denominator = float(count), float(tuples)
     return DkReport(
         k=k,
         thresholds=th,
@@ -183,7 +178,10 @@ def _exact_report(free: list[list[int | None]], k: int, th: ThresholdPair,
         threshold_value=denominator,
         condition_holds=count < denominator,
         distinct_coords=distinct_coords,
-        mode="exact",
+        mode=mode,
+        std_error=std_error,
+        seed=seed,
+        samples=samples,
     )
 
 
@@ -213,52 +211,36 @@ def dk_count(
     ValueError when |E|^(2k) exceeds the float range, since the report
     holds it as a float, and when k is not an integer >= 1.
     """
-    k = _positive_int(k, "k")
-    if mode == "mc" and samples < 1:
-        raise ValueError("samples must be >= 1")
+    k, budget = integer(k, "k", 1), integer(budget, "budget", 0)
+    if mode == "mc":
+        samples = integer(samples, "samples", 1)
     members = _check_subset(t, E)
     n = len(members)
     tuples = _tuple_space(n, k, mode, budget)
     if mode == "exact":
         free = _lattice(ThresholdMasks(t), members, th, k, distinct_coords)
-        return _exact_report(free, k, th, members, tuples, distinct_coords)
-    denominator = float(tuples)
-    space = float(math.perm(n, 2 * k)) if distinct_coords else denominator
-
-    if mode == "mc":
-        if seed is None:
-            raise ValueError("mc mode requires a seed")
-        rng = np.random.default_rng(seed)
-        hits = 0
-        if space > 0.0:
-            rows = np.asarray(members)
-            low = np.packbits(t.entries <= th.s, axis=1)
-            high = np.packbits(t.entries >= th.r, axis=1)
-            block = _block_rows(2 * k + low.shape[1])
-            for start in range(0, samples, block):
-                drawn = _draw_tuples(rng, n, 2 * k, min(block, samples - start), distinct_coords)
-                hits += _count_alternating(low, high, rows[drawn])
-        p_hat = hits / samples
-        count = p_hat * space
-        std_error = math.sqrt(max(p_hat * (1 - p_hat), 0.0) / samples) * space
-    else:
+        return _report(k, th, members, tuples, distinct_coords,
+                       _exact_count(free, k, distinct_coords))
+    if mode != "mc":
         raise ValueError(f"unknown mode {mode!r}")
-
-    density = count / denominator
-    return DkReport(
-        k=k,
-        thresholds=th,
-        subset_E=members,
-        count=count,
-        density=density,
-        threshold_value=denominator,
-        condition_holds=count < denominator,
-        distinct_coords=distinct_coords,
-        mode=mode,
-        std_error=std_error,
-        seed=seed,
-        samples=samples,
-    )
+    if seed is None:
+        raise ValueError("mc mode requires a seed")
+    seed = integer(seed, "seed", 0)
+    space = float(math.perm(n, 2 * k) if distinct_coords else tuples)
+    rng = np.random.default_rng(seed)
+    hits = 0
+    if space > 0.0:
+        rows = np.asarray(members)
+        low = np.packbits(t.entries <= th.s, axis=1)
+        high = np.packbits(t.entries >= th.r, axis=1)
+        block = _block_rows(2 * k + low.shape[1])
+        for start in range(0, samples, block):
+            drawn = _draw_tuples(rng, n, 2 * k, min(block, samples - start), distinct_coords)
+            hits += _count_alternating(low, high, rows[drawn])
+    p_hat = hits / samples
+    std_error = math.sqrt(max(p_hat * (1 - p_hat), 0.0) / samples) * space
+    return _report(k, th, members, tuples, distinct_coords, p_hat * space, mode,
+                   std_error, seed, samples)
 
 
 def almost_nip_scan(
@@ -277,17 +259,18 @@ def almost_nip_scan(
     `backend.dk_count_free` lattice over k_max gives every k's count, so a
     scan takes O(k_max^2) dynamic-programming steps.
     """
+    k_max, budget = integer(k_max, "k_max", 1), integer(budget, "budget", 0)
     return _almost_nip_scan(ThresholdMasks(t), E, th, k_max, distinct_coords, budget)
 
 
 def _almost_nip_scan(masks: ThresholdMasks, E: Sequence[int], th: ThresholdPair, k_max: int,
                      distinct_coords: bool, budget: int) -> tuple[int | None, list[DkReport]]:
-    """`almost_nip_scan` of the mask set's table."""
-    k_max = _positive_int(k_max, "k_max")
+    """`almost_nip_scan` of the mask set's table, for a checked `k_max` and `budget`."""
     members = _check_subset(masks.t, E)
     spaces = [_tuple_space(len(members), k, "exact", budget) for k in range(1, k_max + 1)]
     free = _lattice(masks, members, th, k_max, distinct_coords)
-    reports = [_exact_report(free, k, th, members, tuples, distinct_coords)
+    reports = [_report(k, th, members, tuples, distinct_coords,
+                       _exact_count(free, k, distinct_coords))
                for k, tuples in enumerate(spaces, 1)]
     k_min = next((rep.k for rep in reports if rep.condition_holds), None)
     return k_min, reports
@@ -309,9 +292,9 @@ def shattered_tuple_fraction(
 
     It is 0.0 without a search when 2^n exceeds the number of columns,
     since a column realizes at most one of the 2^n patterns."""
-    n = _positive_int(n, "n")
-    if mode == "mc" and samples < 1:
-        raise ValueError("samples must be >= 1")
+    n, budget = integer(n, "n", 1), integer(budget, "budget", 0)
+    if mode == "mc":
+        samples = integer(samples, "samples", 1)
     members = _check_subset(t, E)
     size = len(members)
     if size < n:
@@ -322,6 +305,7 @@ def shattered_tuple_fraction(
     elif mode == "mc":
         if seed is None:
             raise ValueError("mc mode requires a seed")
+        seed = integer(seed, "seed", 0)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     if 1 << n > t.n_cols:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import json
+import time
 from operator import ge, le
 
 import numpy as np
@@ -10,19 +11,33 @@ import pytest
 from dividing_lines import (
     AlternationWitness,
     ChainWitness,
+    ClassifyParams,
     EvalTable,
     Epsilon,
+    GeneratorConfig,
     LadderWitness,
     ShatterWitness,
     ThresholdPair,
+    almost_nip_scan,
+    alternation_rank,
+    cantor_example,
     cesaro_column,
+    classify,
+    dichotomy_scan,
     dk_count,
+    full_pattern,
     half_graph,
     is_shattered,
     iterated_means,
     load_table,
+    max_ladder,
     mazur_approximate,
+    random_table,
     serialize,
+    shattered_tuple_fraction,
+    shattering_dimension,
+    sop_witness,
+    stability_spectrum,
     transpose,
 )
 from dividing_lines import core
@@ -31,6 +46,7 @@ from dividing_lines.errors import (
     BoundViolation,
     EmptyTable,
     IndexOutOfRange,
+    InvalidSize,
     ParseError,
     ShapeMismatch,
 )
@@ -92,6 +108,8 @@ def test_equality_and_hash(tbl):
     c = tbl([[1.0, 0.0]], bound=2.0)
     assert a == b and hash(a) == hash(b)
     assert a != c
+    z, neg_z = tbl([[0.0, 1.0]], bound=1), tbl([[-0.0, 1.0]], bound=1)
+    assert z == neg_z and hash(z) == hash(neg_z) and len({z, neg_z}) == 1
 
 
 def test_transpose_involution(tbl):
@@ -222,3 +240,112 @@ def test_indices_must_be_integers(call):
         with pytest.raises(IndexOutOfRange):
             call(t, bad)
     assert call(t, np.int64(1)) == call(t, 1)
+
+
+H4 = half_graph(4)
+R8 = random_table(8, 8, seed=1)
+SCAN_GEN = GeneratorConfig("random_table", n_rows=4, n_cols=4)
+# a cutoff that leaves some long-ladder tables unexplained, so the cap matters
+SCAN_PARAMS = ClassifyParams(min_ladder=2)
+
+
+def _json(obj) -> str:
+    """Canonical JSON of a report dict; numpy integers in it raise TypeError."""
+    return json.dumps(obj, sort_keys=True)
+
+
+# every integer parameter of a public entry point, keyed "entry.parameter":
+# (call with the parameter set to v, a valid v, the lowest valid v, error)
+COUNT_ENTRY_POINTS = {
+    **{f"ClassifyParams.{name}": (
+        lambda v, name=name: _json(ClassifyParams(**{name: v}).to_dict()), value, low, ValueError)
+       for name, value, low in (("exact_limit", 1000, 0), ("tuple_budget", 10**6, 0),
+                                ("min_ladder", 3, 1), ("min_ip_dim", 3, 1),
+                                ("min_chain", 2, 1), ("k_max", 3, 1))},
+    "dichotomy_scan.trials": (
+        lambda v: dichotomy_scan(SCAN_GEN, v, 2, SCAN_PARAMS).to_json(), 4, 0, ValueError),
+    "dichotomy_scan.seed": (
+        lambda v: dichotomy_scan(SCAN_GEN, 4, v, SCAN_PARAMS).to_json(), 2, 0, ValueError),
+    "dichotomy_scan.exception_cap": (
+        lambda v: dichotomy_scan(SCAN_GEN, 4, 2, SCAN_PARAMS, v).to_json(), 1, 0, ValueError),
+    "dk_count.k": (lambda v: _json(dk_count(R8, range(8), v, TH).to_dict()), 2, 1, ValueError),
+    "dk_count.samples": (
+        lambda v: _json(dk_count(R8, range(8), 2, TH, mode="mc", seed=0, samples=v).to_dict()),
+        50, 1, ValueError),
+    "dk_count.seed": (
+        lambda v: _json(dk_count(R8, range(8), 2, TH, mode="mc", seed=v, samples=50).to_dict()),
+        3, 0, ValueError),
+    "dk_count.budget": (
+        lambda v: _json(dk_count(R8, range(8), 2, TH, budget=v).to_dict()), 8**4, 0, ValueError),
+    "almost_nip_scan.k_max": (
+        lambda v: _json([r.to_dict() for r in almost_nip_scan(R8, range(8), TH, v)[1]]),
+        2, 1, ValueError),
+    "almost_nip_scan.budget": (
+        lambda v: _json([r.to_dict() for r in almost_nip_scan(R8, range(8), TH, 2, budget=v)[1]]),
+        8**4, 0, ValueError),
+    "shattered_tuple_fraction.n": (
+        lambda v: shattered_tuple_fraction(R8, range(8), v, TH), 2, 1, ValueError),
+    "shattered_tuple_fraction.samples": (
+        lambda v: shattered_tuple_fraction(R8, range(8), 2, TH, mode="mc", seed=0, samples=v),
+        50, 1, ValueError),
+    "shattered_tuple_fraction.seed": (
+        lambda v: shattered_tuple_fraction(R8, range(8), 2, TH, mode="mc", seed=v, samples=50),
+        3, 0, ValueError),
+    "shattered_tuple_fraction.budget": (
+        lambda v: shattered_tuple_fraction(R8, range(8), 2, TH, budget=v), 64, 0, ValueError),
+    "stability_spectrum.max_len": (lambda v: stability_spectrum(H4, v), 3, 2, ValueError),
+    "stability_spectrum.exact_limit": (
+        lambda v: stability_spectrum(H4, 3, v), 1000, 0, ValueError),
+    "sop_witness.target_m": (lambda v: sop_witness(H4, Epsilon(0.5), v), 3, 2, ValueError),
+    "sop_witness.exact_limit": (
+        lambda v: sop_witness(H4, Epsilon(0.5), 3, v), 1000, 0, ValueError),
+    "max_ladder.exact_limit": (lambda v: max_ladder(R8, TH, v), 1000, 0, ValueError),
+    "alternation_rank.exact_limit": (
+        lambda v: alternation_rank(R8, EPS, "iii", v), 1000, 0, ValueError),
+    "shattering_dimension.exact_limit": (
+        lambda v: shattering_dimension(full_pattern(3), TH, v), 1000, 0, ValueError),
+    "half_graph.n": (half_graph, 3, 1, InvalidSize),
+    "full_pattern.k": (full_pattern, 2, 1, InvalidSize),
+    "random_table.n_rows": (lambda v: random_table(v, 3, seed=0), 3, 1, InvalidSize),
+    "random_table.n_cols": (lambda v: random_table(3, v, seed=0), 3, 1, InvalidSize),
+    "cantor_example.m": (lambda v: cantor_example(v, 4).table, 2, 1, InvalidSize),
+    "cantor_example.L": (lambda v: cantor_example(1, v).table, 4, 3, InvalidSize),
+}
+
+
+@pytest.mark.parametrize("name, entry", COUNT_ENTRY_POINTS.items(), ids=COUNT_ENTRY_POINTS.keys())
+def test_counts_must_be_integers(name, entry):
+    call, value, low, error = entry
+    param = name.split(".")[1]
+    for bad in (2.5, float("nan"), float("inf"), low - 1):
+        with pytest.raises(error, match=f"^{param} must be"):
+            call(bad)
+    assert call(np.int64(value)) == call(value)
+
+
+def test_nan_budget_raises_before_search():
+    # with the default budget this ladder search stops after about a second;
+    # a NaN budget that reached it would switch the budget off
+    t = random_table(40, 40, "bernoulli", seed=[0, 40, 99])
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="exact_limit"):
+        max_ladder(t, ThresholdPair(0, 1), exact_limit=float("nan"))
+    with pytest.raises(ValueError, match="budget"):
+        dk_count(t, range(40), 3, ThresholdPair(0, 1), budget=float("nan"))
+    assert time.perf_counter() - start < 0.25
+
+
+def test_numpy_counts_give_the_same_json():
+    fields = dict(exact_limit=1000, tuple_budget=10**6, min_ladder=2, min_ip_dim=2,
+                  min_chain=2, k_max=2)
+    plain = ClassifyParams(**fields)
+    numpy = ClassifyParams(**{name: np.int64(v) for name, v in fields.items()})
+    assert all(type(getattr(numpy, name)) is int for name in fields)
+    assert classify(R8, numpy).to_json() == classify(R8, plain).to_json()
+    n = np.int64
+    assert (dichotomy_scan(SCAN_GEN, n(4), n(2), numpy, n(1)).to_json()
+            == dichotomy_scan(SCAN_GEN, 4, 2, plain, 1).to_json())
+    mc = dk_count(R8, range(8), n(2), TH, mode="mc", seed=n(0), samples=n(50))
+    assert type(mc.condition_holds) is bool and type(mc.count) is float
+    assert _json(mc.to_dict()) == _json(
+        dk_count(R8, range(8), 2, TH, mode="mc", seed=0, samples=50).to_dict())
