@@ -22,17 +22,20 @@ budget only walks further along the same search.  What costs a node:
 - `clique_search`: each vertex tried; a child whose candidates, counted
   by popcount and by the rows and the columns they hit, cannot beat the
   record spends none.
-- `alternation_iii_search`: each row tried and each (i, j) tried; a child
-  whose reach bound (free rows, candidate columns, and the columns each
-  free row allows) cannot beat the record spends none.
+- `alternation_iii_search`: in its witness pass, each row tried and each
+  (i, j) tried; in its length pass, each first column tried, and then each
+  row tried and each (i, j) tried in the tail.  In both, a child whose
+  reach bound (free rows, candidate columns, and the columns each free row
+  allows) cannot beat the record spends none.
 - `shatter_dim_search`: each column tried.
 - `chain_witness_search`: each (column, row) pair tried.
 
 Bound cuts only drop subtrees that cannot beat the record, so they never
-change the witness an exact search returns.  The ladder, clique and
-alternation iii searches also stop, exact, as soon as the record reaches a
-proven maximum (at most one row and one column per step or cell), so a
-search that finds the optimum early does not spend its budget proving it.
+change the witness an exact search returns.  The ladder, clique,
+alternation iii and shattering searches also stop, exact, as soon as the
+record reaches a proven maximum (at most one row and one column per step
+or cell; at most floor(log2 rows) shattered columns), so a search that
+finds the optimum early does not spend its budget proving it.
 """
 from __future__ import annotations
 
@@ -40,6 +43,10 @@ from itertools import count
 from operator import add
 
 BACKEND_NAME = "python"
+# nodes the alternation iii witness pass spends before the length pass
+# starts: 94% of the binary 4x4 tables finish within them, and past them the
+# length pass is the cheaper proof
+_III_SLICE = 50
 
 
 def _iter_bits(mask: int):
@@ -248,19 +255,96 @@ def alternation_iii_search(sep_by_col: list[list[int]], n_cols: int, budget: int
 
     sep_by_col[j][i] = bitmask of cols c with |T[i][c] - T[i][j]| >= eps.
     Valid iff for all t < u < v: bit j_v is set in sep_by_col[j_t][i_u],
-    with row and column indices each used at most once.  Each row tried
-    and each (i, j) extension tried counts as one node, so a row whose
-    extensions the bound cuts all at once still spends budget.  A child
-    whose reach bound cannot beat the record is not entered, and spends
-    none.
+    with row and column indices each used at most once.  The condition binds
+    the middle rows only, so the first pair's row is free.  Two passes
+    (`_iii_pass`) share the `budget`:
+
+    - the witness pass tries pairs in ascending (i, j) order and keeps the
+      first sequence of each record length;
+    - if the witness pass spends a first slice of `_III_SLICE` nodes, it
+      stops while the length pass looks for a sequence longer than its
+      record.  The length pass branches on the first column alone and
+      leaves the first pair's row open, so its memo does not repeat every
+      subtree once per first row.  If it finds none, the record is the
+      maximum; otherwise the witness pass goes on from where it stopped,
+      keeping only sequences of the proven length and ending at the first.
+
+    An exact result is the lexicographically first maximum-length sequence,
+    as the witness pass alone would return.  When the budget runs out the
+    result is the longest sequence found, flagged `exact=False`; if the
+    length pass found it, its free row is the lowest row its tail leaves
+    unused.
     Returns (length, pairs, exact).
     """
     n_rows = len(sep_by_col[0])
-    best_len = 0
+    cap = min(n_rows, n_cols)
+    longer: tuple[tuple[int, int], ...] = ()  # the length pass's record
+
+    def prove(record: int) -> tuple[int, int]:
+        # the witness pass's (budget, cap) to go on with, once the length
+        # pass has found a sequence longer than the record
+        nonlocal longer
+        if budget <= _III_SLICE:
+            raise _BudgetHit
+        longer, spent, exact = _iii_pass(sep_by_col, n_cols, budget - _III_SLICE, record, cap, True)
+        if not exact:
+            raise _BudgetHit
+        if not longer:
+            raise _Optimal  # the record is the first maximum-length sequence
+        return budget - spent, len(longer)
+
+    pairs, _, exact = _iii_pass(sep_by_col, n_cols, min(budget, _III_SLICE), 0, cap, False, prove)
+    if not exact and longer:
+        (_, j), *tail = longer
+        free = min(set(range(n_rows)).difference(i for i, _ in tail))
+        pairs = ((free, j), *tail)
+    return len(pairs), pairs, exact
+
+
+def _iii_pass(
+    sep_by_col: list[list[int]],
+    n_cols: int,
+    budget: int,
+    floor: int,
+    cap: int,
+    free_first: bool,
+    on_budget=None,
+):
+    """One pass of the alternation iii search, with records above `floor`,
+    ending exact once one reaches `cap`.
+
+    The witness pass (`free_first` false) tries the first pair's (i, j) in
+    ascending order like any other pair.  The length pass (`free_first`)
+    tries the first column alone, records the pair as (-1, j), and lets the
+    tail draw on every row; a record is at most `cap` <= rows long, so its
+    tail always leaves a row for the first pair.  Each row tried and each
+    (i, j) extension tried counts as one node, and in the length pass each
+    first column tried counts one, so a row whose extensions the bound cuts
+    all at once still spends budget.  A child whose reach bound cannot beat
+    the record is not entered, and spends none.
+    When the budget runs out, `on_budget(record length)` is called once, if
+    given, and the pass goes on with the (budget, cap) it returns, keeping
+    only sequences of length cap; it may raise `_BudgetHit` or `_Optimal`
+    to end the pass instead.
+    Returns (pairs, nodes, exact); pairs is the first record of the longest
+    length found, empty when none is longer than `floor`.
+    """
+    n_rows = len(sep_by_col[0])
+    best_len = floor
     best: tuple[tuple[int, int], ...] = ()
     nodes = 0
-    max_depth = min(n_rows, n_cols)
     seen: set[int] = set()
+
+    def over_budget():
+        # the node just counted is past the budget
+        nonlocal budget, cap, best_len, on_budget
+        if on_budget is None:
+            raise _BudgetHit
+        hook, on_budget = on_budget, None
+        budget, cap = hook(best_len)
+        best_len = cap - 1
+        if nodes > budget:
+            raise _BudgetHit
 
     def state(
         pairs: list[tuple[int, int]],
@@ -293,7 +377,7 @@ def alternation_iii_search(sep_by_col: list[list[int]], n_cols: int, budget: int
                 return
             nodes += 1
             if nodes > budget:
-                raise _BudgetHit
+                over_budget()
             allowed = allowed_by_row[k]
             if allowed.bit_count() <= slack:
                 continue
@@ -302,12 +386,12 @@ def alternation_iii_search(sep_by_col: list[list[int]], n_cols: int, budget: int
             for j in cand_cols:
                 nodes += 1
                 if nodes > budget:
-                    raise _BudgetHit
+                    over_budget()
                 pairs.append((i, j))
                 if depth > best_len:
                     best_len = depth
                     best = tuple(pairs)
-                    if best_len == max_depth:
+                    if best_len >= cap:
                         raise _Optimal
                 bit = 1 << j
                 next_cand = allowed & ~bit
@@ -321,21 +405,47 @@ def alternation_iii_search(sep_by_col: list[list[int]], n_cols: int, budget: int
                         if cp is None:
                             cp = child_pend[j] = [p & m for p, m in zip(pend, sep_by_col[j])]
                         next_allowed = [next_cand & cp[r] for r in next_rows]
-                        # the k-th row of a tail of length R is a middle row
-                        # for the R - k columns after it, all in its allowed
-                        # mask; with a_1 >= a_2 >= ... the allowed popcounts,
-                        # at most k - 1 rows have more than a_k, so
-                        # R <= a_k + k for every k (R <= free rows and
-                        # R <= popcount(next_cand) were tested above)
-                        counts = sorted(map(int.bit_count, next_allowed), reverse=True)
-                        if depth + min(map(add, counts, count(1))) > best_len:
+                        if depth + _reach(next_allowed) > best_len:
                             used = used_cols | bit
                             yield state(pairs, next_cand, cp, next_rows, next_allowed, rows, used)
                 pairs.pop()
 
+    def first_cols():
+        # the length pass's root: no row is committed, so the first pair
+        # allows every column, and its children keep every row
+        nonlocal best_len, best, nodes
+        all_rows = tuple(range(n_rows))
+        for j in range(n_cols):
+            nodes += 1
+            if nodes > budget:
+                over_budget()
+            if best_len < 1:
+                best_len = 1
+                best = ((-1, j),)
+                if best_len >= cap:
+                    raise _Optimal
+            next_cand = full & ~(1 << j)
+            next_allowed = [next_cand & m for m in sep_by_col[j]]
+            if 1 + _reach(next_allowed) > best_len:
+                yield state([(-1, j)], next_cand, sep_by_col[j], all_rows, next_allowed, 0, 1 << j)
+
     full = (1 << n_cols) - 1
-    exact = _walk(state([], full, [full] * n_rows, tuple(range(n_rows)), [full] * n_rows, 0, 0))
-    return best_len, best, exact
+    if free_first:
+        root = first_cols()
+    else:
+        root = state([], full, [full] * n_rows, tuple(range(n_rows)), [full] * n_rows, 0, 0)
+    exact = _walk(root)
+    return best, min(nodes, budget), exact
+
+
+def _reach(allowed: list[int]) -> int:
+    """Upper bound on the length of a tail whose rows come from rows with
+    these allowed masks: the k-th row of a tail of length R is a middle row
+    for the R - k columns after it, all in its allowed mask; with
+    a_1 >= a_2 >= ... the allowed popcounts, at most k - 1 rows have more
+    than a_k, so R <= a_k + k for every k."""
+    counts = sorted(map(int.bit_count, allowed), reverse=True)
+    return min(map(add, counts, count(1)))
 
 
 def shatter_dim_search(
@@ -344,6 +454,9 @@ def shatter_dim_search(
     """Largest shattered column set via anti-monotone DFS over column indices.
 
     low_by_col[c] / high_by_col[c] are row bitmasks (rows <= s / rows >= r).
+    Sets are tried in ascending order, so the first set of the record size
+    is the lexicographically first one, and the search ends exact once the
+    record reaches `max_k`, a proven upper bound.
     Returns (dim, cols, selector_masks, exact) where selector_masks[p] is
     the nonempty row bitmask realizing pattern p (bit b of p <=> cols[b]
     on the low side).
@@ -383,6 +496,8 @@ def shatter_dim_search(
                     best_k = k
                     best_cols = tuple(cols)
                     best_masks = tuple(masks_k)
+                    if best_k >= max_k:
+                        raise _Optimal
                 if k < max_k and k + (n_cols - c - 1) > best_k:
                     yield state(c + 1, cols, masks_k)
                 cols.pop()

@@ -182,8 +182,10 @@ def sop_witness(
 ) -> ChainWitness | None:
     """Backtracking search for a literal chain witness of length >= target_m
     (`backend.chain_witness_search`, which costs one node per (column, row)
-    pair tried and has no depth limit).  Returns None only when the
-    exhaustive search finishes below the node budget; raises
+    pair tried and has no depth limit).  Returns None when the exhaustive
+    search finishes below the node budget, or with no search at all when
+    the table's value range is too narrow for one chain step (min(T) + eps
+    < max(T) fails, as in every {0,1} table at eps >= 1); raises
     SearchBudgetExceeded otherwise.
     """
     target_m = integer(target_m, "target_m", 2)
@@ -195,6 +197,10 @@ def _sop_witness(
     t: EvalTable, e: Epsilon, target_m: int, exact_limit: int, above: list[int]
 ) -> ChainWitness | None:
     """`sop_witness` on the `_above_masks` the caller built."""
+    # a step needs T[w][c'] + eps < T[w'][c]; rounding is monotone, so when
+    # min + eps < max fails, that fails for every pair of cells too
+    if not (t.entries.min() + e.eps < t.entries.max()):
+        return None
     cols, rows, exact = backend.chain_witness_search(
         t.entries.tolist(), above, e.eps, target_m, exact_limit
     )

@@ -89,6 +89,18 @@ def test_dimension_matches_oracle():
             assert res.witness.dim == res.dim
 
 
+@pytest.mark.parametrize("t, nodes, dim, cols", [
+    (transpose(full_pattern(7)), 257, 2, (3, 5)),
+    (full_pattern(6), 6, 6, (0, 1, 2, 3, 4, 5)),
+])
+def test_dimension_stops_at_log_rows(t, nodes, dim, cols):
+    # the search ends exact once the record reaches floor(log2 rows),
+    # keeping the first maximum set
+    res = shattering_dimension(t, TH, nodes)
+    assert (res.dim, res.witness.cols, res.exact) == (dim, cols, True)
+    assert not shattering_dimension(t, TH, nodes - 1).exact
+
+
 def test_dual_dimension_via_transpose():
     t = full_pattern(3)
     assert shattering_dimension(transpose(t), TH).dim == orc.brute_shatter_dim(

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import sys
 from operator import ge, le
 
@@ -455,6 +456,71 @@ def test_alternation_iii_witness_is_lexfirst():
         rank, pairs = orc.lexfirst_alternation_iii(t, eps)
         assert res.exact, seed
         assert (res.rank, res.witness.pairs) == (rank, pairs), seed
+        # the length pass alone, with the first pair's row left open; its
+        # tail leaves a row for the first pair, and any such row will do
+        sep_by_col = op.alternation_iii_masks(t, Epsilon(eps))
+        cap = min(n_rows, n_cols)
+        pairs, _, exact = backend._iii_pass(sep_by_col, n_cols, 10**6, 0, cap, True)
+        assert exact and len(pairs) == orc.brute_alternation_iii(t, eps), seed
+        assert pairs[0][0] == -1 and len(pairs) - 1 < n_rows
+        free = min(set(range(n_rows)).difference(i for i, _ in pairs[1:]))
+        w = AlternationWitness("iii", ((free, pairs[0][1]),) + pairs[1:], Epsilon(eps))
+        assert w.is_valid(t), seed
+
+
+def _iii_digest_tables():
+    for seed in range(300):
+        rng = np.random.default_rng([seed, 20])
+        n_rows, n_cols = (int(x) for x in rng.integers(6, 13, size=2))
+        if seed % 3 == 0:
+            yield EvalTable(rng.integers(0, 2, size=(n_rows, n_cols)).astype(float)), 1.0
+        else:
+            yield EvalTable(rng.uniform(-1.0, 1.0, size=(n_rows, n_cols))), (0.4, 0.8)[seed % 3 - 1]
+
+
+def test_alternation_iii_frozen_digest():
+    # (rank, pairs, exact) of the witness search alone on 300 seeded tables
+    # of 6x6 to 12x12, every one exact; the length pass must not change them
+    h = hashlib.sha256()
+    for t, eps in _iii_digest_tables():
+        res = alternation_rank(t, Epsilon(eps), "iii")
+        h.update(repr((res.rank, res.witness.pairs, res.exact)).encode())
+    assert h.hexdigest() == "f5620bc9b7c79874a07bc15ea476c417a0a00000247ab2389ce18d479737e086"
+
+
+@pytest.mark.parametrize("model, eps", [("bernoulli", 1.0), ("uniform", 0.4)])
+def test_alternation_iii_random_16x16_exact(model, eps):
+    for seed in range(2):
+        t = random_table(16, 16, model, seed=[seed, 16, 99])
+        res = alternation_rank(t, Epsilon(eps), "iii")
+        assert res.exact, seed
+        assert res.witness.is_valid(t) and res.witness.length == res.rank
+        # the length pass proves these in 23,000-120,000 nodes in all, where
+        # the witness search alone takes 200,000-900,000
+        assert alternation_rank(t, Epsilon(eps), "iii", exact_limit=150_000) == res
+
+
+# at 75,000 nodes the length pass proves length 10 and the witness pass then
+# runs out, so the result is the length pass's sequence with its row filled
+@pytest.mark.parametrize("limit", [10, 300, 2_000, 75_000, 10**6])
+def test_alternation_iii_passes_share_the_budget(monkeypatch, limit):
+    passes = []
+    real = backend._iii_pass
+
+    def counted(sep_by_col, n_cols, budget, *args):
+        pairs, nodes, exact = real(sep_by_col, n_cols, budget, *args)
+        passes.append(nodes)
+        return pairs, nodes, exact
+
+    monkeypatch.setattr(backend, "_iii_pass", counted)
+    t = random_table(16, 16, "uniform", seed=[0, 16, 99])
+    res = alternation_rank(t, Epsilon(0.4), "iii", exact_limit=limit)
+    assert sum(passes) <= limit
+    assert res.witness.is_valid(t) and res.witness.length == res.rank
+    assert len(passes) == (1 if limit <= backend._III_SLICE else 2)
+    assert res.exact == (limit == 10**6)
+    if limit >= 75_000:
+        assert res.rank == 10
 
 
 @pytest.mark.parametrize("t, rank", [(half_graph(8), 8), (full_pattern(5), 5)])

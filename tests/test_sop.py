@@ -183,6 +183,18 @@ def test_sop_witness_budget():
     assert sop_witness(t, Epsilon(0.9), 9, exact_limit=5) is None
 
 
+def test_sop_witness_needs_a_value_range_past_eps():
+    # every {0,1} table at eps 1: no step T[w][c'] + 1 < T[w'][c] exists,
+    # so no search runs and no budget can run out
+    assert sop_witness(half_graph(200), E1, 3, exact_limit=1) is None
+    t = EvalTable(np.array([[0.0, 1.0], [0.0, 1.0]]))
+    assert sop_witness(t, E1, 2, exact_limit=0) is None
+    # one ulp more range and the step exists
+    t = EvalTable(np.array([[0.0, np.nextafter(1.0, 2.0)], [0.0, np.nextafter(1.0, 2.0)]]))
+    w = sop_witness(t, E1, 2)
+    assert w is not None and w.is_valid(t) and w.length == 2
+
+
 def test_sop_witness_cuts_unreachable_targets():
     # past min(rows, cols) no chain can reach the target, so the search
     # ends at once instead of exhausting its budget
