@@ -15,18 +15,21 @@ record reaches a proven maximum.
 
 All functions report `exact=False` (lower bounds only) once the node
 budget is exhausted.  The budget cuts one fixed search short, so a larger
-budget only walks further along the same search.  What costs a node:
+budget only walks further along the same search; `alternation_iii_search`
+runs a fixed sequence of up to three searches, each on the budget the ones
+before it left.  What costs a node:
 
 - `ladder_search`: each (i, j) tried; a row whose every child the bound
   cuts spends none.
 - `clique_search`: each vertex tried; a child whose candidates, counted
   by popcount and by the rows and the columns they hit, cannot beat the
   record spends none.
-- `alternation_iii_search`: in its witness pass, each row tried and each
-  (i, j) tried; in its length pass, each first column tried, and then each
-  row tried and each (i, j) tried in the tail.  In both, a child whose
-  reach bound (free rows, candidate columns, and the columns each free row
-  allows) cannot beat the record spends none.
+- `alternation_iii_search`: in its witness slice and its witness rerun,
+  each row tried and each (i, j) tried; in its length pass, each first
+  column tried, and then each row tried and each (i, j) tried in the tail.
+  In all three, a child whose reach bound (free rows, candidate columns,
+  and the columns each free row allows) cannot beat the record spends
+  none.
 - `shatter_dim_search`: each column tried.
 - `chain_witness_search`: each (column, row) pair tried.
 
@@ -256,18 +259,19 @@ def alternation_iii_search(sep_by_col: list[list[int]], n_cols: int, budget: int
     sep_by_col[j][i] = bitmask of cols c with |T[i][c] - T[i][j]| >= eps.
     Valid iff for all t < u < v: bit j_v is set in sep_by_col[j_t][i_u],
     with row and column indices each used at most once.  The condition binds
-    the middle rows only, so the first pair's row is free.  Two passes
-    (`_iii_pass`) share the `budget`:
+    the middle rows only, so the first pair's row is free.  Up to three
+    passes (`_iii_pass`) run one after another, each on the budget the ones
+    before it left:
 
-    - the witness pass tries pairs in ascending (i, j) order and keeps the
-      first sequence of each record length;
-    - if the witness pass spends a first slice of `_III_SLICE` nodes, it
-      stops while the length pass looks for a sequence longer than its
-      record.  The length pass branches on the first column alone and
-      leaves the first pair's row open, so its memo does not repeat every
-      subtree once per first row.  If it finds none, the record is the
-      maximum; otherwise the witness pass goes on from where it stopped,
-      keeping only sequences of the proven length and ending at the first.
+    - a witness slice of at most `_III_SLICE` nodes tries pairs in
+      ascending (i, j) order and keeps the first sequence of each record
+      length; its result stands if it is exact;
+    - the length pass looks for a sequence longer than the slice's record.
+      It branches on the first column alone and leaves the first pair's row
+      open, so its memo does not repeat every subtree once per first row.
+      If it finds none, the slice's record is the maximum;
+    - if it proves a longer length L, the witness pass runs again from the
+      start, keeping only sequences of length L and ending at the first.
 
     An exact result is the lexicographically first maximum-length sequence,
     as the witness pass alone would return.  When the budget runs out the
@@ -278,27 +282,24 @@ def alternation_iii_search(sep_by_col: list[list[int]], n_cols: int, budget: int
     """
     n_rows = len(sep_by_col[0])
     cap = min(n_rows, n_cols)
-    longer: tuple[tuple[int, int], ...] = ()  # the length pass's record
-
-    def prove(record: int) -> tuple[int, int]:
-        # the witness pass's (budget, cap) to go on with, once the length
-        # pass has found a sequence longer than the record
-        nonlocal longer
-        if budget <= _III_SLICE:
-            raise _BudgetHit
-        longer, spent, exact = _iii_pass(sep_by_col, n_cols, budget - _III_SLICE, record, cap, True)
-        if not exact:
-            raise _BudgetHit
-        if not longer:
-            raise _Optimal  # the record is the first maximum-length sequence
-        return budget - spent, len(longer)
-
-    pairs, _, exact = _iii_pass(sep_by_col, n_cols, min(budget, _III_SLICE), 0, cap, False, prove)
-    if not exact and longer:
+    pairs, spent, exact = _iii_pass(sep_by_col, n_cols, min(budget, _III_SLICE), 0, cap, False)
+    left = budget - spent
+    if exact or left <= 0:
+        return len(pairs), pairs, exact
+    longer, spent, exact = _iii_pass(sep_by_col, n_cols, left, len(pairs), cap, True)
+    left -= spent
+    if exact and not longer:
+        return len(pairs), pairs, True  # the slice's record is the maximum
+    if exact and left > 0:
+        # records start at L - 1, so the first sequence of length L ends it
+        found, _, _ = _iii_pass(sep_by_col, n_cols, left, len(longer) - 1, len(longer), False)
+        if found:
+            return len(found), found, True
+    if longer:
         (_, j), *tail = longer
         free = min(set(range(n_rows)).difference(i for i, _ in tail))
         pairs = ((free, j), *tail)
-    return len(pairs), pairs, exact
+    return len(pairs), pairs, False
 
 
 def _iii_pass(
@@ -308,7 +309,6 @@ def _iii_pass(
     floor: int,
     cap: int,
     free_first: bool,
-    on_budget=None,
 ):
     """One pass of the alternation iii search, with records above `floor`,
     ending exact once one reaches `cap`.
@@ -322,10 +322,6 @@ def _iii_pass(
     first column tried counts one, so a row whose extensions the bound cuts
     all at once still spends budget.  A child whose reach bound cannot beat
     the record is not entered, and spends none.
-    When the budget runs out, `on_budget(record length)` is called once, if
-    given, and the pass goes on with the (budget, cap) it returns, keeping
-    only sequences of length cap; it may raise `_BudgetHit` or `_Optimal`
-    to end the pass instead.
     Returns (pairs, nodes, exact); pairs is the first record of the longest
     length found, empty when none is longer than `floor`.
     """
@@ -334,17 +330,6 @@ def _iii_pass(
     best: tuple[tuple[int, int], ...] = ()
     nodes = 0
     seen: set[int] = set()
-
-    def over_budget():
-        # the node just counted is past the budget
-        nonlocal budget, cap, best_len, on_budget
-        if on_budget is None:
-            raise _BudgetHit
-        hook, on_budget = on_budget, None
-        budget, cap = hook(best_len)
-        best_len = cap - 1
-        if nodes > budget:
-            raise _BudgetHit
 
     def state(
         pairs: list[tuple[int, int]],
@@ -377,7 +362,7 @@ def _iii_pass(
                 return
             nodes += 1
             if nodes > budget:
-                over_budget()
+                raise _BudgetHit
             allowed = allowed_by_row[k]
             if allowed.bit_count() <= slack:
                 continue
@@ -386,7 +371,7 @@ def _iii_pass(
             for j in cand_cols:
                 nodes += 1
                 if nodes > budget:
-                    over_budget()
+                    raise _BudgetHit
                 pairs.append((i, j))
                 if depth > best_len:
                     best_len = depth
@@ -418,7 +403,7 @@ def _iii_pass(
         for j in range(n_cols):
             nodes += 1
             if nodes > budget:
-                over_budget()
+                raise _BudgetHit
             if best_len < 1:
                 best_len = 1
                 best = ((-1, j),)

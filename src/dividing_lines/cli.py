@@ -8,6 +8,7 @@ with a provenance block.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -243,6 +244,7 @@ def _add_generator_params(p: _Parser) -> None:
     p.add_argument("--L", type=int, default=None)
 
 
+@functools.cache
 def build_parser() -> _Parser:
     parser = _Parser(prog="dividing-lines")
     sub = parser.add_subparsers(dest="subcommand", required=True)

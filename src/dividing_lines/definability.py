@@ -276,7 +276,8 @@ def _chebyshev_dual(
         if q < 2 * n:
             p, sign = (q, 1.0) if q < n else (q - n, -1.0)
             y[p] = y.get(p, 0.0) + sign * xi
-    return [max(-d, 0.0) for d in duals[:k]], y
+    # + 0.0 turns a -0.0 weight into 0.0 and keeps a NaN for the caller to reject
+    return [max(-d, 0.0) + 0.0 for d in duals[:k]], y
 
 
 def mazur_approximate(

@@ -295,19 +295,17 @@ def shattered_tuple_fraction(
     n, budget = integer(n, "n", 1), integer(budget, "budget", 0)
     if mode == "mc":
         samples = integer(samples, "samples", 1)
+        if seed is None:
+            raise ValueError("mc mode requires a seed")
+        seed = integer(seed, "seed", 0)
+    elif mode != "exact":
+        raise ValueError(f"unknown mode {mode!r}")
     members = _check_subset(t, E)
     size = len(members)
     if size < n:
         return 0.0
-    if mode == "exact":
-        if size**n > budget:
-            raise BudgetExceeded(f"|E|^n = {size}^{n} exceeds budget {budget}")
-    elif mode == "mc":
-        if seed is None:
-            raise ValueError("mc mode requires a seed")
-        seed = integer(seed, "seed", 0)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    if mode == "exact" and size**n > budget:
+        raise BudgetExceeded(f"|E|^n = {size}^{n} exceeds budget {budget}")
     if 1 << n > t.n_cols:
         # low and high never meet, so a column realizes at most one pattern
         return 0.0

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import inspect
+import itertools
+import math
 import os
 import subprocess
 import sys
@@ -68,6 +70,17 @@ def test_mazur_weights_form_distribution():
     res = mazur_approximate(t, [0, 2, 5], np.zeros(5))
     assert all(w >= 0 for w in res.weights)
     assert abs(sum(res.weights) - 1.0) < 1e-12
+
+
+def test_mazur_weights_have_no_negative_zero():
+    # a basis dual of 0.0 would come back as a -0.0 weight, printed "-0.0"
+    rng = np.random.default_rng(5)
+    for m, L in [(2, 4), (3, 5), (4, 6)]:
+        corpus = cantor_example(m, L)
+        for target in (corpus.target, rng.uniform(-1, 1, 1 << L)):
+            for cols in itertools.chain(*(itertools.combinations(range(m), r) for r in (1, 2))):
+                res = mazur_approximate(corpus.table, cols, target)
+                assert all(math.copysign(1.0, w) == 1.0 for w in res.weights), (m, L, cols)
 
 
 def test_mazur_beats_uniform_baseline():

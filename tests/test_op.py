@@ -21,7 +21,9 @@ from dividing_lines import (
     iterated_means,
     max_ladder,
     random_table,
+    shattering_dimension,
     stability_spectrum,
+    strict_chain,
     transpose,
 )
 from dividing_lines import backend, op
@@ -500,8 +502,9 @@ def test_alternation_iii_random_16x16_exact(model, eps):
         assert alternation_rank(t, Epsilon(eps), "iii", exact_limit=150_000) == res
 
 
-# at 75,000 nodes the length pass proves length 10 and the witness pass then
-# runs out, so the result is the length pass's sequence with its row filled
+# from 75,000 nodes on the length pass proves length 10 and the witness pass
+# runs again; at 75,000 that rerun runs out, so the result is the length
+# pass's sequence with its row filled
 @pytest.mark.parametrize("limit", [10, 300, 2_000, 75_000, 10**6])
 def test_alternation_iii_passes_share_the_budget(monkeypatch, limit):
     passes = []
@@ -517,7 +520,7 @@ def test_alternation_iii_passes_share_the_budget(monkeypatch, limit):
     res = alternation_rank(t, Epsilon(0.4), "iii", exact_limit=limit)
     assert sum(passes) <= limit
     assert res.witness.is_valid(t) and res.witness.length == res.rank
-    assert len(passes) == (1 if limit <= backend._III_SLICE else 2)
+    assert len(passes) == (1 if limit <= backend._III_SLICE else 3 if limit >= 75_000 else 2)
     assert res.exact == (limit == 10**6)
     if limit >= 75_000:
         assert res.rank == 10
@@ -661,6 +664,45 @@ def test_stability_spectrum_transposed_half_graph(n):
     # two values, so one exact ladder call across the 32- and 64-bit widths
     spec = stability_spectrum(transpose(half_graph(n)), n + 1)
     assert spec == [(l, 1.0) for l in range(2, n + 1)] + [(n + 1, None)]
+
+
+def _exact_values(t: EvalTable, th: ThresholdPair, e: Epsilon) -> dict[str, int]:
+    """The value of each detector that permuting rows and columns keeps,
+    for the detectors whose result on `t` is exact."""
+    ladder = max_ladder(t, th)
+    ii, iii = alternation_rank(t, e, "ii"), alternation_rank(t, e, "iii")
+    primal, dual = shattering_dimension(t, th), shattering_dimension(transpose(t), th)
+    results = {
+        "ladder": (ladder.length, ladder.exact),
+        "ii": (ii.rank, ii.exact),
+        "iii": (iii.rank, iii.exact),
+        "primal": (primal.dim, primal.exact),
+        "dual": (dual.dim, dual.exact),
+        "strict_chain": (strict_chain(t, e).m, True),
+    }
+    return {name: value for name, (value, exact) in results.items() if exact}
+
+
+@pytest.mark.parametrize("n", [31, 32, 33, 63, 64, 65])
+@pytest.mark.parametrize("model, th, eps", [
+    ("bernoulli", TH, 1.0),
+    ("uniform", ThresholdPair(-0.25, 0.25), 0.5),
+])
+def test_permuted_and_transposed_tables_keep_exact_values(n, model, th, eps):
+    # n x 5 and 5 x n put the 32- and 64-bit mask boundaries in the rows and
+    # in the columns; iii's memo keys hold both
+    for shape in ((n, 5), (5, n)):
+        t = random_table(*shape, model, seed=[n, *shape])
+        rng = np.random.default_rng([n, *shape])
+        entries = t.entries[rng.permutation(t.n_rows)][:, rng.permutation(t.n_cols)]
+        want = _exact_values(t, th, Epsilon(eps))
+        got = _exact_values(EvalTable(entries, bound=t.bound), th, Epsilon(eps))
+        both = want.keys() & got.keys()
+        assert "strict_chain" in both and len(both) >= 4, (shape, both)
+        assert {k: got[k] for k in both} == {k: want[k] for k in both}, shape
+        ladder_t = max_ladder(transpose(t), th)
+        if "ladder" in want and ladder_t.exact:
+            assert ladder_t.length == want["ladder"], shape
 
 
 def test_stability_spectrum_rejects_short():

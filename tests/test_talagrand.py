@@ -329,6 +329,17 @@ def test_shattered_tuple_fraction_more_patterns_than_columns():
                                         samples=50) == 0.0
 
 
+@pytest.mark.parametrize("E", [[0], range(4)], ids=["fewer_rows_than_n", "enough_rows"])
+@pytest.mark.parametrize("kwargs, match", [
+    (dict(mode="bogus"), "unknown mode"),
+    (dict(mode="mc"), "requires a seed"),
+], ids=["unknown_mode", "mc_without_seed"])
+def test_shattered_tuple_fraction_checks_mode_and_seed(E, kwargs, match):
+    # |E| < n gives 0.0 without a search, but not before the arguments are checked
+    with pytest.raises(ValueError, match=match):
+        shattered_tuple_fraction(half_graph(4), E, 2, TH, **kwargs)
+
+
 def test_shattered_tuple_fraction_exact_blocks(monkeypatch):
     # blocks of a few combinations give the same exact fraction as one block
     rng = np.random.default_rng(13)
