@@ -8,8 +8,8 @@ from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
 from . import ip, op, sop, talagrand
-from .core import (Epsilon, EvalTable, ThresholdMasks, ThresholdPair, integer, serialize,
-                   transpose)
+from .core import (Epsilon, EvalTable, ThresholdMasks, ThresholdPair, Witness, integer,
+                   serialize, transpose)
 from .errors import DividingLinesError, InvalidWitness, SearchBudgetExceeded
 from .generators import GeneratorConfig, generate
 from .op import AlternationWitness, LadderWitness
@@ -17,8 +17,6 @@ from .ip import ShatterWitness
 from .sop import ChainWitness
 
 SCHEMA = "dl-report/1"
-
-Witness = LadderWitness | AlternationWitness | ShatterWitness | ChainWitness
 
 
 @dataclass(frozen=True)
@@ -70,13 +68,13 @@ def witness_from_dict(d: dict) -> Witness:
     """Rebuild a witness from its `to_dict` form; an unknown kind or a
     missing or malformed field raises InvalidWitness."""
     kind = d.get("kind")
-    if kind not in _WITNESS_KINDS:
+    if not isinstance(kind, str) or kind not in _WITNESS_KINDS:
         raise InvalidWitness(f"unknown witness kind {kind!r}")
     try:
         return _WITNESS_KINDS[kind].from_dict(d)
     except KeyError as exc:
         raise InvalidWitness(f"{kind} witness lacks field {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (AttributeError, IndexError, TypeError, ValueError) as exc:
         raise InvalidWitness(f"malformed {kind} witness: {exc}") from exc
 
 
@@ -105,12 +103,7 @@ class ClassificationReport:
 
 
 def _checked_witness(t: EvalTable, w: Witness | None) -> dict | None:
-    if w is None:
-        return None
-    ok, violation = validate_witness(t, w)
-    if not ok:
-        raise DividingLinesError(f"emitted witness failed re-validation: {violation}")
-    return w.to_dict()
+    return None if w is None else w.checked(t).to_dict()
 
 
 def classify(t: EvalTable, params: ClassifyParams = ClassifyParams()) -> ClassificationReport:

@@ -15,7 +15,8 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .errors import BoundViolation, EmptyTable, IndexOutOfRange, ParseError, ShapeMismatch
+from .errors import (BoundViolation, EmptyTable, IndexOutOfRange, InvalidWitness, ParseError,
+                     ShapeMismatch)
 
 # cells per block of `blocks` (a 128 KiB float64 temporary): bigger blocks
 # measured slower from 64x64 tables up
@@ -214,6 +215,31 @@ def indices(t: EvalTable, idx: Iterable, axis: int) -> tuple[int, ...]:
             raise IndexOutOfRange(f"{name} index {j} out of range")
         out.append(j)
     return tuple(out)
+
+
+def distinct_indices(t: EvalTable, *idx_axis: tuple[Iterable, int]):
+    """`indices` of each (idx, axis) pair in turn, and the `first_violation`
+    (None, "duplicate row index" or "duplicate col index") of the first that repeats one."""
+    out = [indices(t, idx, axis) for idx, axis in idx_axis]
+    for idx, (_, axis) in zip(out, idx_axis):
+        if len(set(idx)) != len(idx):
+            return out, (None, f"duplicate {('row', 'col')[axis]} index")
+    return out, None
+
+
+class Witness:
+    """An index-level certificate: a subclass's `first_violation(t)` is None
+    when it holds on table `t`, else a (location, description) pair."""
+
+    def is_valid(self, t: EvalTable) -> bool:
+        return self.first_violation(t) is None
+
+    def checked(self, t: EvalTable):
+        """This witness, or InvalidWitness naming its first violation on `t`."""
+        violation = self.first_violation(t)
+        if violation is not None:
+            raise InvalidWitness(f"{type(self).__name__} fails on the table: {violation}")
+        return self
 
 
 def integer(value, name: str, low: int, error: type[Exception] = ValueError) -> int:

@@ -8,15 +8,16 @@ from operator import ge, le
 from typing import Mapping, Sequence
 
 from . import backend
-from .core import EvalTable, ThresholdMasks, ThresholdPair, indices, integer
-from .errors import InvalidWitness, TooManyColumns
+from .core import (EvalTable, ThresholdMasks, ThresholdPair, Witness, distinct_indices, indices,
+                   integer)
+from .errors import TooManyColumns
 from .op import DEFAULT_EXACT_LIMIT, LadderWitness
 
 MAX_SHATTER_COLS = 24
 
 
 @dataclass(frozen=True)
-class ShatterWitness:
+class ShatterWitness(Witness):
     """Certificate that `cols` is (s,r)-shattered by the table's rows.
 
     selector maps each pattern bitmask p (bit b set <=> cols[b] on the low
@@ -47,9 +48,6 @@ class ShatterWitness:
                     if not (v >= self.thresholds.r):
                         return pattern, f"T[{row}][{c}]={v} < r={self.thresholds.r}"
         return None
-
-    def is_valid(self, t: EvalTable) -> bool:
-        return self.first_violation(t) is None
 
     def to_dict(self) -> dict:
         return {
@@ -87,11 +85,11 @@ def is_shattered(
     cols = tuple(cols)
     if not cols:
         raise ValueError("cols must be nonempty")
-    if len(set(cols)) != len(cols):
-        raise ValueError("cols must be distinct")
     if len(cols) > MAX_SHATTER_COLS:
         raise TooManyColumns(f"{len(cols)} columns exceed the limit of {MAX_SHATTER_COLS}")
-    cols = indices(t, cols, 1)
+    (cols,), duplicate = distinct_indices(t, (cols, 1))
+    if duplicate:
+        raise ValueError("cols must be distinct")
     masks = ThresholdMasks(t)
     low_by_col, high_by_col = masks[le, th.s, True], masks[ge, th.r, True]
     full = (1 << t.n_rows) - 1
@@ -143,9 +141,7 @@ def ip_to_ladder(w: ShatterWitness, t: EvalTable) -> LadderWitness:
     {u, ..., k}; below the diagonal those columns sit on the high side
     (>= r) and above it on the low side (<= s), exactly the ladder shape.
     """
-    if w.first_violation(t) is not None:
-        raise InvalidWitness("shatter witness fails validation against the table")
-    k = w.dim
+    k = w.checked(t).dim
     rows = []
     for u in range(1, k + 1):
         pattern = 0

@@ -10,8 +10,8 @@ from typing import Literal, Sequence
 import numpy as np
 
 from . import backend
-from .core import (Epsilon, EvalTable, ThresholdMasks, ThresholdPair, bitmasks, blocks,
-                   column_blocks, indices, integer)
+from .core import (Epsilon, EvalTable, ThresholdMasks, ThresholdPair, Witness, bitmasks, blocks,
+                   column_blocks, distinct_indices, indices, integer)
 
 DEFAULT_EXACT_LIMIT = 10**6
 # nodes for the first forward ladder pass and for the transposed probe; most
@@ -20,7 +20,7 @@ _LADDER_SLICE = 10**4
 
 
 @dataclass(frozen=True)
-class LadderWitness:
+class LadderWitness(Witness):
     """Index certificate for an order-property staircase.
 
     Valid against T iff row indices are pairwise distinct, column indices
@@ -42,12 +42,10 @@ class LadderWitness:
 
     def first_violation(self, t: EvalTable):
         """None if valid, else ((row_pos, col_pos), description)."""
-        rows, cols = indices(t, self.rows, 0), indices(t, self.cols, 1)
+        (rows, cols), duplicate = distinct_indices(t, (self.rows, 0), (self.cols, 1))
+        if duplicate:
+            return duplicate
         n = len(rows)
-        if len(set(rows)) != n:
-            return None, "duplicate row index"
-        if len(set(cols)) != n:
-            return None, "duplicate col index"
         s, r = self.thresholds.s, self.thresholds.r
         for k in range(n):
             for l in range(n):
@@ -57,9 +55,6 @@ class LadderWitness:
                 if k < l and not (v <= s):
                     return (k, l), f"T[{rows[k]}][{cols[l]}]={v} > s={s}"
         return None
-
-    def is_valid(self, t: EvalTable) -> bool:
-        return self.first_violation(t) is None
 
     def to_dict(self) -> dict:
         return {
@@ -76,8 +71,8 @@ class LadderWitness:
 
 
 @dataclass(frozen=True)
-class AlternationWitness:
-    """Pair-sequence certificate for the epsilon-alternation conditions.
+class AlternationWitness(Witness):
+    """Pair-sequence certificate for the epsilon-alternation variants "ii" and "iii".
 
     Row indices and column indices are each pairwise distinct across pairs.
     Variant "ii": for all t < u, |T[i_t][j_u] - T[i_u][j_t]| >= eps.
@@ -88,18 +83,20 @@ class AlternationWitness:
     pairs: tuple[tuple[int, int], ...]
     eps: Epsilon
 
+    def __post_init__(self):
+        if self.variant not in ("ii", "iii"):
+            raise ValueError(f"unknown variant {self.variant!r}")
+
     @property
     def length(self) -> int:
         return len(self.pairs)
 
     def first_violation(self, t: EvalTable):
-        rows = indices(t, (i for i, _ in self.pairs), 0)
-        cols = indices(t, (j for _, j in self.pairs), 1)
+        (rows, cols), duplicate = distinct_indices(
+            t, ((i for i, _ in self.pairs), 0), ((j for _, j in self.pairs), 1))
+        if duplicate:
+            return duplicate
         n = len(self.pairs)
-        if len(set(rows)) != n:
-            return None, "duplicate row index"
-        if len(set(cols)) != n:
-            return None, "duplicate col index"
         e = self.eps.eps
         if self.variant == "ii":
             for u in range(n):
@@ -118,9 +115,6 @@ class AlternationWitness:
                             return (tt, u, v), f"|{a} - {b}| < eps={e}"
         return None
 
-    def is_valid(self, t: EvalTable) -> bool:
-        return self.first_violation(t) is None
-
     def to_dict(self) -> dict:
         return {
             "kind": "alternation",
@@ -131,7 +125,7 @@ class AlternationWitness:
 
     @classmethod
     def from_dict(cls, d: dict) -> "AlternationWitness":
-        return cls(d["variant"], tuple((p[0], p[1]) for p in d["pairs"]), Epsilon(d["eps"]))
+        return cls(d["variant"], tuple((i, j) for i, j in d["pairs"]), Epsilon(d["eps"]))
 
 
 @dataclass(frozen=True)

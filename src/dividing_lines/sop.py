@@ -8,13 +8,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import backend
-from .core import Epsilon, EvalTable, bitmasks, column_blocks, indices, integer
-from .errors import InvalidWitness, SearchBudgetExceeded
+from .core import Epsilon, EvalTable, Witness, bitmasks, column_blocks, distinct_indices, integer
+from .errors import SearchBudgetExceeded
 from .op import DEFAULT_EXACT_LIMIT, AlternationWitness
 
 
 @dataclass(frozen=True)
-class ChainWitness:
+class ChainWitness(Witness):
     """Literal strict-order certificate.
 
     Valid against T iff columns and witness rows are each pairwise
@@ -36,12 +36,10 @@ class ChainWitness:
         return len(self.cols)
 
     def first_violation(self, t: EvalTable):
-        cols, rows = indices(t, self.cols, 1), indices(t, self.witness_rows, 0)
+        (cols, rows), duplicate = distinct_indices(t, (self.cols, 1), (self.witness_rows, 0))
+        if duplicate:
+            return duplicate
         m = len(cols)
-        if len(set(cols)) != m:
-            return None, "duplicate col index"
-        if len(set(rows)) != m:
-            return None, "duplicate row index"
         for pos in range(m - 1):
             c1, c2 = cols[pos], cols[pos + 1]
             for p in range(t.n_rows):
@@ -57,9 +55,6 @@ class ChainWitness:
                 if not (a + e < b):
                     return ("cross", tt, u), f"{a} + eps={e} !< {b}"
         return None
-
-    def is_valid(self, t: EvalTable) -> bool:
-        return self.first_violation(t) is None
 
     def to_dict(self) -> dict:
         return {
@@ -214,7 +209,4 @@ def sop_to_alternation(w: ChainWitness, t: EvalTable) -> AlternationWitness:
 
     The cross gap forces |T[w_t][c_u] - T[w_u][c_t]| >= eps for t < u.
     """
-    if w.first_violation(t) is not None:
-        raise InvalidWitness("chain witness fails validation against the table")
-    pairs = tuple(zip(w.witness_rows, w.cols))
-    return AlternationWitness("ii", pairs, w.eps)
+    return AlternationWitness("ii", tuple(zip(w.checked(t).witness_rows, w.cols)), w.eps)

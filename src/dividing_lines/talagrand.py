@@ -214,6 +214,11 @@ def dk_count(
     k, budget = integer(k, "k", 1), integer(budget, "budget", 0)
     if mode == "mc":
         samples = integer(samples, "samples", 1)
+        if seed is None:
+            raise ValueError("mc mode requires a seed")
+        seed = integer(seed, "seed", 0)
+    elif mode != "exact":
+        raise ValueError(f"unknown mode {mode!r}")
     members = _check_subset(t, E)
     n = len(members)
     tuples = _tuple_space(n, k, mode, budget)
@@ -221,11 +226,6 @@ def dk_count(
         free = _lattice(ThresholdMasks(t), members, th, k, distinct_coords)
         return _report(k, th, members, tuples, distinct_coords,
                        _exact_count(free, k, distinct_coords))
-    if mode != "mc":
-        raise ValueError(f"unknown mode {mode!r}")
-    if seed is None:
-        raise ValueError("mc mode requires a seed")
-    seed = integer(seed, "seed", 0)
     space = float(math.perm(n, 2 * k) if distinct_coords else tuples)
     rng = np.random.default_rng(seed)
     hits = 0

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dividing_lines import (
+    AlternationWitness,
     ChainWitness,
     ClassifyParams,
     Epsilon,
@@ -91,6 +92,19 @@ def test_witness_from_dict_kinds():
     assert witness_from_dict(c.to_dict()) == c
     with pytest.raises(InvalidWitness):
         witness_from_dict({"kind": "sorcery"})
+    shatter = {"kind": "shatter", "cols": [0], "s": 0.0, "r": 1.0}
+    alternation = {"kind": "alternation", "variant": "ii", "eps": 1.0}
+    for bad in ({"kind": ["ladder"]}, {**shatter, "selector": [1, 2]},
+                {**shatter, "selector": None}, {**alternation, "pairs": [[0]]},
+                {**alternation, "pairs": [[0, 1, 2]]},
+                {**alternation, "variant": "iv", "pairs": [[0, 0]]}):
+        with pytest.raises(InvalidWitness):
+            witness_from_dict(bad)
+
+
+def test_alternation_witness_rejects_unknown_variant():
+    with pytest.raises(ValueError, match="unknown variant"):
+        AlternationWitness("iv", ((0, 0),), Epsilon(1.0))
 
 
 def test_classify_custom_params():

@@ -265,7 +265,20 @@ def test_malformed_json_is_invalid_input(half_graph_file, tmp_path, capsys, flag
     ' "s": 0.0, "r": 1.0}}}',
     '{"shattering_primal": {"witness": {"kind": "shatter", "cols": [0], "s": 0.0,'
     ' "r": 1.0, "selector": {"0": 1.5, "1": 0}}}}',
-], ids=["unknown-kind", "list", "missing-fields", "directory", "float-row", "float-selector-row"])
+    '{"ladder": {"witness": {"kind": ["ladder"]}}}',
+    '{"shattering_primal": {"witness": {"kind": "shatter", "cols": [0], "s": 0.0,'
+    ' "r": 1.0, "selector": [1, 2]}}}',
+    '{"shattering_primal": {"witness": {"kind": "shatter", "cols": [0], "s": 0.0,'
+    ' "r": 1.0, "selector": null}}}',
+    '{"alternation_ii": {"witness": {"kind": "alternation", "variant": "ii",'
+    ' "pairs": [[0]], "eps": 1.0}}}',
+    '{"alternation_ii": {"witness": {"kind": "alternation", "variant": "ii",'
+    ' "pairs": [[0, 1, 2]], "eps": 1.0}}}',
+    '{"alternation_iii": {"witness": {"kind": "alternation", "variant": "iv",'
+    ' "pairs": [[0, 0]], "eps": 1.0}}}',
+], ids=["unknown-kind", "list", "missing-fields", "directory", "float-row", "float-selector-row",
+        "list-kind", "list-selector", "null-selector", "short-pair", "long-pair",
+        "unknown-variant"])
 def test_bad_validate_report_is_invalid_input(half_graph_file, tmp_path, capsys, content):
     report = tmp_path / "report"
     if content is None:

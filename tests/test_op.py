@@ -16,11 +16,14 @@ from dividing_lines import (
     LadderWitness,
     ThresholdPair,
     alternation_rank,
+    dk_count,
     full_pattern,
     half_graph,
     iterated_means,
+    mazur_approximate,
     max_ladder,
     random_table,
+    shattered_tuple_fraction,
     shattering_dimension,
     stability_spectrum,
     strict_chain,
@@ -666,7 +669,7 @@ def test_stability_spectrum_transposed_half_graph(n):
     assert spec == [(l, 1.0) for l in range(2, n + 1)] + [(n + 1, None)]
 
 
-def _exact_values(t: EvalTable, th: ThresholdPair, e: Epsilon) -> dict[str, int]:
+def _exact_values(t: EvalTable, th: ThresholdPair, e: Epsilon) -> dict[str, float]:
     """The value of each detector that permuting rows and columns keeps,
     for the detectors whose result on `t` is exact."""
     ladder = max_ladder(t, th)
@@ -679,7 +682,12 @@ def _exact_values(t: EvalTable, th: ThresholdPair, e: Epsilon) -> dict[str, int]
         "primal": (primal.dim, primal.exact),
         "dual": (dual.dim, dual.exact),
         "strict_chain": (strict_chain(t, e).m, True),
+        "shattered_pairs": (shattered_tuple_fraction(t, range(t.n_rows), 2, th), True),
     }
+    for k in (1, 2):
+        for distinct in (False, True):
+            count = dk_count(t, range(t.n_rows), k, th, distinct_coords=distinct).count
+            results[f"dk_count k={k} distinct={distinct}"] = (count, True)
     return {name: value for name, (value, exact) in results.items() if exact}
 
 
@@ -703,6 +711,12 @@ def test_permuted_and_transposed_tables_keep_exact_values(n, model, th, eps):
         ladder_t = max_ladder(transpose(t), th)
         if "ladder" in want and ladder_t.exact:
             assert ladder_t.length == want["ladder"], shape
+        # Mazur's optimum does not depend on the order of the rows
+        perm, target = rng.permutation(t.n_rows), rng.uniform(-1.0, 1.0, t.n_rows)
+        permuted = EvalTable(t.entries[perm], bound=t.bound)
+        achieved = [mazur_approximate(u, range(t.n_cols), y).achieved
+                    for u, y in ((t, target), (permuted, target[perm]))]
+        assert abs(achieved[0] - achieved[1]) <= 1e-9, shape
 
 
 def test_stability_spectrum_rejects_short():

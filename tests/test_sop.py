@@ -168,6 +168,20 @@ def test_chain_witness_cross_condition(tbl):
     assert not ChainWitness((0, 1), (0, 1), Epsilon(0.75)).is_valid(t)
 
 
+@pytest.mark.parametrize("model, eps", [("bernoulli", 0.5), ("uniform", 0.4), ("uniform", 1.0)])
+def test_sop_witness_finds_a_pair_whenever_one_exists(model, eps):
+    # the literal search is complete as well as sound: it finds a length-2
+    # chain exactly when the brute-force oracle does
+    found = 0
+    for shape in np.ndindex(5, 5):
+        for seed in range(6):
+            t = random_table(shape[0] + 2, shape[1] + 2, model, seed=[*shape, seed])
+            want = orc.brute_sop_pair_exists(t, eps)
+            assert (sop_witness(t, Epsilon(eps), 2) is not None) == want, (shape, seed)
+            found += want
+    assert found
+
+
 def test_sop_witness_none_when_absent(tbl):
     t = tbl([[0.0, 1.0], [1.0, 0.0]])
     assert sop_witness(t, E1, 2) is None

@@ -340,6 +340,18 @@ def test_shattered_tuple_fraction_checks_mode_and_seed(E, kwargs, match):
         shattered_tuple_fraction(half_graph(4), E, 2, TH, **kwargs)
 
 
+@pytest.mark.parametrize("E, k", [([], 1), (range(4), 400)],
+                         ids=["empty_subset", "past_float_range"])
+@pytest.mark.parametrize("kwargs, match", [
+    (dict(mode="bogus"), "unknown mode"),
+    (dict(mode="mc"), "requires a seed"),
+], ids=["unknown_mode", "mc_without_seed"])
+def test_dk_count_checks_mode_and_seed(E, k, kwargs, match):
+    # the arguments are checked before the subset and the tuple space
+    with pytest.raises(ValueError, match=match):
+        dk_count(half_graph(4), E, k, TH, **kwargs)
+
+
 def test_shattered_tuple_fraction_exact_blocks(monkeypatch):
     # blocks of a few combinations give the same exact fraction as one block
     rng = np.random.default_rng(13)
