@@ -106,18 +106,26 @@ def _checked_witness(t: EvalTable, w: Witness | None) -> dict | None:
     return None if w is None else w.checked(t).to_dict()
 
 
-def classify(t: EvalTable, params: ClassifyParams = ClassifyParams()) -> ClassificationReport:
-    """Run every detector, re-validate all witnesses, assemble the report.
+# every section of a report, in report order
+_SECTIONS = ("ladder", "alternation_ii", "alternation_iii", "shattering_primal",
+             "shattering_dual", "strict_chain", "sop_literal", "talagrand")
+# the sections the verdicts read
+_VERDICT_SECTIONS = ("ladder", "shattering_primal", "strict_chain")
 
-    A failing component contributes an explicit error entry instead of a
-    silently missing section.
-    """
+
+def _sections(t: EvalTable, params: ClassifyParams,
+              names: Sequence[str]) -> tuple[dict, list[tuple[str, str]]]:
+    """Run the named report sections on `t`, in report order, re-validating
+    each emitted witness.  A section that raises a DividingLinesError is None
+    and adds an (name, message) entry to the returned errors."""
     th = ThresholdPair(params.s, params.r)
     eps = Epsilon(params.eps)
     sections: dict = {}
     errors: list[tuple[str, str]] = []
 
     def run(name: str, fn, *args):
+        if name not in names:
+            return
         try:
             sections[name] = fn(*args)
         except DividingLinesError as exc:
@@ -173,11 +181,16 @@ def classify(t: EvalTable, params: ClassifyParams = ClassifyParams()) -> Classif
     run("strict_chain", run_chain)
     run("sop_literal", run_sop_literal)
     run("talagrand", run_talagrand)
+    return sections, errors
 
+
+def _verdicts(sections: dict, params: ClassifyParams) -> dict:
+    """The op / ip / sop verdicts from the ladder, primal shattering and
+    strict chain sections; a missing or failed section counts as 0."""
     ladder_len = sections["ladder"]["length"] if sections.get("ladder") else 0
     ip_dim = sections["shattering_primal"]["dim"] if sections.get("shattering_primal") else 0
     chain_m = sections["strict_chain"]["m"] if sections.get("strict_chain") else 0
-    sections["verdicts"] = {
+    return {
         "op_detected": ladder_len >= params.min_ladder,
         "op_trigger": {"ladder_length": ladder_len, "cutoff": params.min_ladder},
         "ip_detected": ip_dim >= params.min_ip_dim,
@@ -185,6 +198,16 @@ def classify(t: EvalTable, params: ClassifyParams = ClassifyParams()) -> Classif
         "sop_detected": chain_m >= params.min_chain,
         "sop_trigger": {"strict_chain": chain_m, "cutoff": params.min_chain},
     }
+
+
+def classify(t: EvalTable, params: ClassifyParams = ClassifyParams()) -> ClassificationReport:
+    """Run every detector, re-validate all witnesses, assemble the report.
+
+    A failing component contributes an explicit error entry instead of a
+    silently missing section.
+    """
+    sections, errors = _sections(t, params, _SECTIONS)
+    sections["verdicts"] = _verdicts(sections, params)
     return ClassificationReport(table_digest(t), params, sections, tuple(errors))
 
 
@@ -224,9 +247,14 @@ def dichotomy_scan(
     """Empirical stable <=> NIP + NSOP scan over seeded generated tables.
 
     Tabulates tables with ladder >= min_ladder and, among those, how many
-    show IP (dim >= min_ip_dim) or SOP (chain >= min_chain).  Tables with a
-    long ladder but neither explanation are serialized in full (capped);
-    at finite scale they are expected data, not failures.
+    show IP (dim >= min_ip_dim) or SOP (chain >= min_chain).  Each trial
+    runs only the three detectors its verdicts read (ladder, primal
+    shattering, strict chain), with `classify`'s own code, budgets and
+    witness checks, so its line matches the one `classify`'s verdicts give.
+    Tables with a long ladder but neither explanation are serialized with
+    their full `classify` report (capped at `exception_cap`, and only those
+    recorded are classified in full); at finite scale they are expected
+    data, not failures.
     """
     trials, seed = integer(trials, "trials", 0), integer(seed, "seed", 0)
     exception_cap = integer(exception_cap, "exception_cap", 0)
@@ -238,10 +266,9 @@ def dichotomy_scan(
     for i in range(trials):
         cfg_seed = [seed, i] if gen.kind == "random_table" else gen.seed
         table = generate(replace(gen, seed=cfg_seed))
-        report = classify(table, params)
-        v = report.sections["verdicts"]
+        v = _verdicts(_sections(table, params, _VERDICT_SECTIONS)[0], params)
         digests.append(
-            f"trial={i} digest={report.table_digest[:16]} "
+            f"trial={i} digest={table_digest(table)[:16]} "
             f"op={v['op_detected']} ip={v['ip_detected']} sop={v['sop_detected']}"
         )
         if v["op_detected"]:
@@ -249,9 +276,8 @@ def dichotomy_scan(
             if v["ip_detected"] or v["sop_detected"]:
                 explained += 1
             elif len(exceptions) < exception_cap:
-                exceptions.append(
-                    {"trial": i, "table": table.to_dict(), "report": report.to_dict()}
-                )
+                exceptions.append({"trial": i, "table": table.to_dict(),
+                                   "report": classify(table, params).to_dict()})
     exception_count = long_ladder - explained
     return ScanSummary(
         trials=trials,

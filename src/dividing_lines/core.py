@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,6 +32,8 @@ class ThresholdPair:
     r: float
 
     def __post_init__(self) -> None:
+        real(self.s, "s")
+        real(self.r, "r")
         if not (self.s < self.r):
             raise ValueError(f"thresholds must satisfy s < r, got s={self.s}, r={self.r}")
 
@@ -50,6 +53,7 @@ class Epsilon:
     eps: float
 
     def __post_init__(self) -> None:
+        real(self.eps, "eps")
         if not (self.eps > 0):
             raise ValueError(f"eps must be positive, got {self.eps}")
 
@@ -253,6 +257,18 @@ def integer(value, name: str, low: int, error: type[Exception] = ValueError) -> 
     if j < low:
         raise error(f"{name} must be >= {low}, got {j}")
     return j
+
+
+def real(value, name: str) -> None:
+    """Raise TypeError unless `value` is a real number: Python and numpy
+    ints and floats pass, bools, strings and None do not (a string would
+    still compare, and fail only later inside numpy)."""
+    # Python floats (numpy float64 too) pass before the abstract-class test,
+    # which costs about a microsecond: the stability spectrum makes a pair
+    # per cell
+    if not isinstance(value, float) and (isinstance(value, bool)
+                                         or not isinstance(value, numbers.Real)):
+        raise TypeError(f"{name} must be a real number, got {value!r}")
 
 
 def blocks(n: int, cells: int) -> list[slice]:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from dividing_lines import (
     ThresholdPair,
     classify,
     dichotomy_scan,
+    generate,
     half_graph,
     random_table,
     table_digest,
@@ -23,7 +25,7 @@ from dividing_lines import (
     validate_witness,
     witness_from_dict,
 )
-from dividing_lines import backend, core
+from dividing_lines import backend, core, op, talagrand
 from dividing_lines.errors import InvalidWitness
 
 SECTION_NAMES = (
@@ -97,7 +99,10 @@ def test_witness_from_dict_kinds():
     for bad in ({"kind": ["ladder"]}, {**shatter, "selector": [1, 2]},
                 {**shatter, "selector": None}, {**alternation, "pairs": [[0]]},
                 {**alternation, "pairs": [[0, 1, 2]]},
-                {**alternation, "variant": "iv", "pairs": [[0, 0]]}):
+                {**alternation, "variant": "iv", "pairs": [[0, 0]]},
+                {"kind": "ladder", "rows": [0, 1], "cols": [0, 1], "s": "a", "r": "b"},
+                {**shatter, "s": "a", "r": "b", "selector": {"0": 0, "1": 1}},
+                {**alternation, "pairs": [[0, 0]], "eps": True}):
         with pytest.raises(InvalidWitness):
             witness_from_dict(bad)
 
@@ -174,6 +179,59 @@ def test_dichotomy_scan_counts_consistent():
     s = dichotomy_scan(cfg, trials=20, seed=1)
     assert s.exception_count == s.long_ladder_count - s.explained_count
     assert len(s.exceptions) <= s.exception_count
+
+
+@pytest.mark.parametrize("shape", [(5, 5), (6, 6)], ids=["5x5", "6x6"])
+@pytest.mark.parametrize("model, params", [
+    ("bernoulli", ClassifyParams()),
+    ("uniform", ClassifyParams(s=-0.3, r=0.3, eps=0.4)),
+    ("bernoulli", ClassifyParams(exact_limit=50)),
+], ids=["bernoulli", "uniform", "bernoulli-limit50"])
+def test_dichotomy_scan_matches_classify(shape, model, params):
+    # each trial runs only the verdict sections; its line, and the report of
+    # each recorded exception, must be the ones a full classify gives
+    gen = GeneratorConfig(kind="random_table", n_rows=shape[0], n_cols=shape[1],
+                          value_model=model)
+    trials, seed = 100, 10
+    lines, unexplained = [], []
+    for i in range(trials):
+        table = generate(replace(gen, seed=[seed, i]))
+        report = classify(table, params)
+        v = report.sections["verdicts"]
+        lines.append(f"trial={i} digest={report.table_digest[:16]} "
+                     f"op={v['op_detected']} ip={v['ip_detected']} sop={v['sop_detected']}")
+        if v["op_detected"] and not (v["ip_detected"] or v["sop_detected"]):
+            unexplained.append({"trial": i, "table": table.to_dict(), "report": report.to_dict()})
+    assert unexplained
+    for cap in (0, 1, 25):
+        scan = dichotomy_scan(gen, trials, seed, params, exception_cap=cap)
+        assert list(scan.trial_digests) == lines
+        assert scan.exception_count == len(unexplained)
+        assert [dict(e) for e in scan.exceptions] == unexplained[:cap]
+
+
+def test_dichotomy_scan_classifies_only_recorded_exceptions(monkeypatch):
+    # alternation ii / iii and the Talagrand scan run only inside the full
+    # classify of a recorded exception
+    calls = {"alt": 0, "talagrand": 0}
+    alternation_rank, almost_nip_scan = op.alternation_rank, talagrand._almost_nip_scan
+
+    def counted_alt(*args, **kwargs):
+        calls["alt"] += 1
+        return alternation_rank(*args, **kwargs)
+
+    def counted_scan(*args, **kwargs):
+        calls["talagrand"] += 1
+        return almost_nip_scan(*args, **kwargs)
+
+    monkeypatch.setattr(op, "alternation_rank", counted_alt)
+    monkeypatch.setattr(talagrand, "_almost_nip_scan", counted_scan)
+    gen = GeneratorConfig(kind="random_table", n_rows=5, n_cols=5)
+    for cap, recorded in ((0, 0), (2, 2), (25, 5)):
+        calls.update(alt=0, talagrand=0)
+        scan = dichotomy_scan(gen, trials=100, seed=3, exception_cap=cap)
+        assert scan.exception_count == 5 and len(scan.exceptions) == recorded
+        assert calls == {"alt": 2 * recorded, "talagrand": recorded}
 
 
 def test_dichotomy_scan_rejects_negative_trials():

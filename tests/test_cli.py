@@ -276,9 +276,16 @@ def test_malformed_json_is_invalid_input(half_graph_file, tmp_path, capsys, flag
     ' "pairs": [[0, 1, 2]], "eps": 1.0}}}',
     '{"alternation_iii": {"witness": {"kind": "alternation", "variant": "iv",'
     ' "pairs": [[0, 0]], "eps": 1.0}}}',
+    '{"ladder": {"witness": {"kind": "ladder", "rows": [0, 1], "cols": [0, 1],'
+    ' "s": "a", "r": "b"}}}',
+    '{"shattering_primal": {"witness": {"kind": "shatter", "cols": [0], "s": "a",'
+    ' "r": "b", "selector": {"0": 0, "1": 1}}}}',
+    '{"alternation_ii": {"witness": {"kind": "alternation", "variant": "ii",'
+    ' "pairs": [[0, 0]], "eps": true}}}',
 ], ids=["unknown-kind", "list", "missing-fields", "directory", "float-row", "float-selector-row",
         "list-kind", "list-selector", "null-selector", "short-pair", "long-pair",
-        "unknown-variant"])
+        "unknown-variant", "string-ladder-thresholds", "string-shatter-thresholds",
+        "bool-eps"])
 def test_bad_validate_report_is_invalid_input(half_graph_file, tmp_path, capsys, content):
     report = tmp_path / "report"
     if content is None:

@@ -58,6 +58,12 @@ def test_threshold_pair_requires_s_below_r():
         ThresholdPair(1.0, 1.0)
     with pytest.raises(ValueError):
         ThresholdPair(2.0, 1.0)
+    for s, r in (("a", "b"), (False, True), (None, 1.0), (0.0, np.bool_(True))):
+        with pytest.raises(TypeError, match="must be a real number"):
+            ThresholdPair(s, r)
+    # values that pass are kept as given
+    th = ThresholdPair(np.float64(0.5), 1)
+    assert type(th.s) is np.float64 and type(th.r) is int
 
 
 def test_threshold_check_against_bound(tbl):
@@ -71,6 +77,9 @@ def test_epsilon_positive():
     Epsilon(0.1)
     for bad in (0.0, -1.0):
         with pytest.raises(ValueError):
+            Epsilon(bad)
+    for bad in (True, "1", None):
+        with pytest.raises(TypeError, match="eps must be a real number"):
             Epsilon(bad)
 
 
