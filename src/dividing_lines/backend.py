@@ -19,8 +19,9 @@ budget only walks further along the same search; `alternation_iii_search`
 runs a fixed sequence of up to three searches, each on the budget the ones
 before it left.  What costs a node:
 
-- `ladder_search`: each (i, j) tried; a row whose every child the bound
-  cuts spends none.
+- `ladder_search`: each (i, j) tried, including the columns a state's
+  later rows skip because no child of theirs can beat the record; a row
+  whose every child the bound cuts spends none.
 - `clique_search`: each vertex tried; a child whose candidates, counted
   by popcount and by the rows and the columns they hit, cannot beat the
   record spends none.
@@ -105,7 +106,12 @@ def ladder_search(
     Bounds are checked before descending: a row whose children all keep
     too few rows or columns to beat the record is skipped whole and spends
     no node, and each (i, j) tried counts one node whether or not its child
-    is entered.
+    is entered.  A state's first row that passes this cut tries every
+    column; its later rows try only the columns j it kept, those where
+    the state's rows >= r at j were still enough to beat the record, since
+    no other column can give a child that does.  A column a later row
+    skips is still charged its node, so the search spends, records and
+    stops exactly as if it had tried every column.
     Records start above `floor` >= 0, a length the caller already holds a
     ladder for or only asks to beat, and the search ends exact once the
     record reaches `cap`, a proven upper bound (default min(n_rows,
@@ -132,6 +138,8 @@ def ladder_search(
         nonlocal best_len, best_rows, best_cols, nodes
         depth = len(rseq)
         rows_left = avail_rows.bit_count() - 1
+        n_avail = avail_cols.bit_count()
+        kept = None
         rows = avail_rows
         while rows:
             row = rows & -rows
@@ -143,35 +151,70 @@ def ladder_search(
             # the whole row
             if min(rows_left, new_cols.bit_count()) <= best_len - depth - 1:
                 continue
-            other_rows = avail_rows ^ row
-            cols = avail_cols
-            while cols:
-                col = cols & -cols
-                cols ^= col
-                nodes += 1
-                if nodes > budget:
-                    raise _BudgetHit
-                child_rows = other_rows & ge_by_col[col.bit_length() - 1]
-                child_cols = new_cols & ~col
-                need = best_len - depth - 1
-                if child_rows.bit_count() > need and child_cols.bit_count() > need:
-                    rseq.append(i)
-                    cseq.append(col.bit_length() - 1)
-                    if depth + 1 > best_len:
-                        best_len = depth + 1
-                        best_rows = tuple(rseq)
-                        best_cols = tuple(cseq)
-                        if best_len >= cap:
-                            raise _Optimal
-                    # a state's achievable extension depth is fixed, so only
-                    # a strictly deeper visit can improve on what was already
-                    # explored
-                    key = (child_rows, child_cols)
-                    if child_rows and child_cols and seen.get(key, -1) <= depth:
-                        seen[key] = depth + 1
-                        yield state(child_rows, child_cols, rseq, cseq)
-                    rseq.pop()
-                    cseq.pop()
+            if kept is None:
+                # the state's first row walks every column, one node each, and
+                # keeps (rank, col, col_rows) for those whose rows could still
+                # give a child that beats best_len: rank counts the columns up
+                # to col, col_rows = avail_rows & ge_by_col[col]; best_len only
+                # grows, so a column dropped stays useless to every later row
+                kept = []
+                cols, rank, later, last = avail_cols, 0, None, n_avail
+            else:
+                # a later row walks only the kept columns; the ones between
+                # them still cost their node each, charged in bulk
+                later, last = iter(kept), 0
+            while True:
+                if later is None:
+                    while cols:
+                        col = cols & -cols
+                        cols ^= col
+                        rank += 1
+                        nodes += 1
+                        if nodes > budget:
+                            raise _BudgetHit
+                        col_rows = avail_rows & ge_by_col[col.bit_length() - 1]
+                        need = best_len - depth - 1
+                        if col_rows.bit_count() > need:
+                            kept.append((rank, col, col_rows))
+                            child_rows = col_rows & ~row
+                            child_cols = new_cols & ~col
+                            if child_rows.bit_count() > need and child_cols.bit_count() > need:
+                                break
+                    else:
+                        break
+                else:
+                    for rank, col, col_rows in later:
+                        nodes += rank - last
+                        last = rank
+                        if nodes > budget:
+                            raise _BudgetHit
+                        child_rows = col_rows & ~row
+                        child_cols = new_cols & ~col
+                        need = best_len - depth - 1
+                        if child_rows.bit_count() > need and child_cols.bit_count() > need:
+                            break
+                    else:
+                        break
+                rseq.append(i)
+                cseq.append(col.bit_length() - 1)
+                if depth + 1 > best_len:
+                    best_len = depth + 1
+                    best_rows = tuple(rseq)
+                    best_cols = tuple(cseq)
+                    if best_len >= cap:
+                        raise _Optimal
+                # a state's achievable extension depth is fixed, so only a
+                # strictly deeper visit can improve on what was already
+                # explored
+                key = (child_rows, child_cols)
+                if child_rows and child_cols and seen.get(key, -1) <= depth:
+                    seen[key] = depth + 1
+                    yield state(child_rows, child_cols, rseq, cseq)
+                rseq.pop()
+                cseq.pop()
+            nodes += n_avail - last
+            if nodes > budget:
+                raise _BudgetHit
 
     if min(n_rows, n_cols) <= floor:
         return best_len, best_rows, best_cols, True

@@ -206,9 +206,19 @@ def classify(t: EvalTable, params: ClassifyParams = ClassifyParams()) -> Classif
     A failing component contributes an explicit error entry instead of a
     silently missing section.
     """
-    sections, errors = _sections(t, params, _SECTIONS)
-    sections["verdicts"] = _verdicts(sections, params)
-    return ClassificationReport(table_digest(t), params, sections, tuple(errors))
+    return _report(t, params, {}, [])
+
+
+def _report(t: EvalTable, params: ClassifyParams, sections: dict,
+            errors: list[tuple[str, str]]) -> ClassificationReport:
+    """`classify`'s report, given the sections (and their errors) a caller
+    already ran on `t` with `params`; only the other sections run."""
+    more, more_errors = _sections(t, params, [n for n in _SECTIONS if n not in sections])
+    done = {**sections, **more}
+    merged = {name: done[name] for name in _SECTIONS}
+    merged["verdicts"] = _verdicts(merged, params)
+    errors = sorted(errors + more_errors, key=lambda e: _SECTIONS.index(e[0]))
+    return ClassificationReport(table_digest(t), params, merged, tuple(errors))
 
 
 @dataclass(frozen=True)
@@ -252,9 +262,9 @@ def dichotomy_scan(
     shattering, strict chain), with `classify`'s own code, budgets and
     witness checks, so its line matches the one `classify`'s verdicts give.
     Tables with a long ladder but neither explanation are serialized with
-    their full `classify` report (capped at `exception_cap`, and only those
-    recorded are classified in full); at finite scale they are expected
-    data, not failures.
+    their full `classify` report (capped at `exception_cap`; only those
+    recorded run the other five sections, and their report reuses the
+    trial's three); at finite scale they are expected data, not failures.
     """
     trials, seed = integer(trials, "trials", 0), integer(seed, "seed", 0)
     exception_cap = integer(exception_cap, "exception_cap", 0)
@@ -266,7 +276,8 @@ def dichotomy_scan(
     for i in range(trials):
         cfg_seed = [seed, i] if gen.kind == "random_table" else gen.seed
         table = generate(replace(gen, seed=cfg_seed))
-        v = _verdicts(_sections(table, params, _VERDICT_SECTIONS)[0], params)
+        sections, errors = _sections(table, params, _VERDICT_SECTIONS)
+        v = _verdicts(sections, params)
         digests.append(
             f"trial={i} digest={table_digest(table)[:16]} "
             f"op={v['op_detected']} ip={v['ip_detected']} sop={v['sop_detected']}"
@@ -276,8 +287,9 @@ def dichotomy_scan(
             if v["ip_detected"] or v["sop_detected"]:
                 explained += 1
             elif len(exceptions) < exception_cap:
+                report = _report(table, params, sections, errors)
                 exceptions.append({"trial": i, "table": table.to_dict(),
-                                   "report": classify(table, params).to_dict()})
+                                   "report": report.to_dict()})
     exception_count = long_ladder - explained
     return ScanSummary(
         trials=trials,

@@ -111,7 +111,12 @@ def shattering_dimension(
 
     The dual dimension is shattering_dimension(core.transpose(t), th).
     Distinct patterns need distinct selector rows, so the dimension is
-    capped at floor(log2(n_rows)).
+    capped at floor(log2(n_rows)).  Twin columns (the same rows <= s and
+    the same rows >= r) are searched once, at the first of them, and the
+    cap is also the number of distinct columns.  An exact result is the
+    same as a search over every column would give; one cut short by
+    `exact_limit` walks the same order over fewer nodes, so its dimension
+    is never lower.
     """
     return _shattering_dimension(ThresholdMasks(t), th, integer(exact_limit, "exact_limit", 0))
 
@@ -120,9 +125,21 @@ def _shattering_dimension(masks: ThresholdMasks, th: ThresholdPair, exact_limit:
                           dual: bool = False) -> ShatterDimResult:
     """`shattering_dimension` of the mask set's table, or with `dual` of its
     transpose, whose columns are the table's rows."""
-    n_rows, n_cols = masks.t.entries.shape[::-1] if dual else masks.t.entries.shape
+    n_rows = masks.t.n_cols if dual else masks.t.n_rows
     low_by_col, high_by_col = masks[le, th.s, not dual], masks[ge, th.r, not dual]
-    max_k = min(int(math.log2(n_rows)) if n_rows > 1 else 0, MAX_SHATTER_COLS, n_cols)
+    # twin columns (equal low and high masks) are searched once, at the
+    # first: a shattered set holds no two twins, and one that holds a later
+    # twin stays shattered, and sorts first, with the earlier twin in place
+    keys = list(zip(low_by_col, high_by_col))
+    originals = None
+    if len(set(keys)) < len(keys):
+        first: dict[tuple[int, int], int] = {}
+        for c, key in enumerate(keys):
+            first.setdefault(key, c)
+        originals = list(first.values())  # ascending, in insertion order
+        low_by_col = [low_by_col[c] for c in originals]
+        high_by_col = [high_by_col[c] for c in originals]
+    max_k = min(int(math.log2(n_rows)) if n_rows > 1 else 0, MAX_SHATTER_COLS, len(low_by_col))
     if max_k == 0:
         return ShatterDimResult(0, None, True)
     dim, cols, selector_masks, exact = backend.shatter_dim_search(
@@ -130,6 +147,8 @@ def _shattering_dimension(masks: ThresholdMasks, th: ThresholdPair, exact_limit:
     )
     if dim == 0:
         return ShatterDimResult(0, None, exact)
+    if originals:
+        cols = tuple(originals[c] for c in cols)
     selector = {p: (m & -m).bit_length() - 1 for p, m in enumerate(selector_masks)}
     return ShatterDimResult(dim, ShatterWitness(cols, th, selector), exact)
 

@@ -106,8 +106,13 @@ def preorder_psi(t: EvalTable) -> PreorderMatrix:
 
 def _above_masks(t: EvalTable) -> list[int]:
     """above[c] has bit c2 set iff c2 != c and column c <= column c2
-    pointwise."""
-    flags = preorder_psi(t).psi <= 0
+    pointwise: the masks of `preorder_psi(t).psi <= 0`, compared directly
+    (for finite floats, a - b <= 0 exactly when a <= b), one block of
+    columns c at a time (`column_blocks`) and without a float matrix."""
+    vals = t.entries
+    flags = np.empty((t.n_cols, t.n_cols), dtype=bool)
+    for block in column_blocks(t):
+        flags[block] = (vals[:, block, None] <= vals[:, None, :]).all(axis=0)
     np.fill_diagonal(flags, False)
     return bitmasks(flags)
 

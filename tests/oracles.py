@@ -224,6 +224,38 @@ def brute_shatter_dim(t, s: float, r: float) -> int:
     return best
 
 
+def lexfirst_shatter(t, s: float, r: float) -> tuple[int, tuple[int, ...], dict[int, int]]:
+    """(dim, cols, selector) for the first maximum shattered column set in
+    lexicographic order, with selector[p] the lowest row realizing pattern p
+    (bit b set <=> cols[b] on the low side); (0, (), {}) when no column is
+    shattered.  Sizes are tried upward, each over every column subset of
+    that size, and stop at the first size with no shattered subset (a
+    subset of a shattered set is shattered) or more patterns than rows."""
+    rows = t.entries.tolist()
+    n_cols = t.entries.shape[1]
+    best: tuple[int, tuple[int, ...], dict[int, int]] = (0, (), {})
+    for k in range(1, n_cols + 1):
+        if 1 << k > len(rows):
+            break
+        for cols in itertools.combinations(range(n_cols), k):
+            selector: dict[int, int] = {}
+            for p, row in enumerate(rows):
+                pattern = 0
+                for b, c in enumerate(cols):
+                    if row[c] <= s:
+                        pattern |= 1 << b
+                    elif not row[c] >= r:
+                        break
+                else:
+                    selector.setdefault(pattern, p)
+            if len(selector) == 1 << k:
+                best = (k, cols, selector)
+                break
+        else:
+            return best
+    return best
+
+
 def brute_strict_chain(t, eps: float) -> int:
     """Longest column chain under pointwise <= with a per-step eps gap row,
     by enumerating all simple paths."""

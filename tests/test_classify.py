@@ -212,26 +212,30 @@ def test_dichotomy_scan_matches_classify(shape, model, params):
 
 def test_dichotomy_scan_classifies_only_recorded_exceptions(monkeypatch):
     # alternation ii / iii and the Talagrand scan run only inside the full
-    # classify of a recorded exception
-    calls = {"alt": 0, "talagrand": 0}
+    # classify of a recorded exception, and its report reuses the trial's
+    # ladder: one ladder per trial
+    calls = {"alt": 0, "talagrand": 0, "ladder": 0}
     alternation_rank, almost_nip_scan = op.alternation_rank, talagrand._almost_nip_scan
+    ladder = op._ladder
 
-    def counted_alt(*args, **kwargs):
-        calls["alt"] += 1
-        return alternation_rank(*args, **kwargs)
+    def counted(key, fn):
+        def call(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return call
 
-    def counted_scan(*args, **kwargs):
-        calls["talagrand"] += 1
-        return almost_nip_scan(*args, **kwargs)
-
-    monkeypatch.setattr(op, "alternation_rank", counted_alt)
-    monkeypatch.setattr(talagrand, "_almost_nip_scan", counted_scan)
+    monkeypatch.setattr(op, "alternation_rank", counted("alt", alternation_rank))
+    monkeypatch.setattr(talagrand, "_almost_nip_scan", counted("talagrand", almost_nip_scan))
+    monkeypatch.setattr(op, "_ladder", counted("ladder", ladder))
     gen = GeneratorConfig(kind="random_table", n_rows=5, n_cols=5)
     for cap, recorded in ((0, 0), (2, 2), (25, 5)):
-        calls.update(alt=0, talagrand=0)
+        calls.update(alt=0, talagrand=0, ladder=0)
         scan = dichotomy_scan(gen, trials=100, seed=3, exception_cap=cap)
         assert scan.exception_count == 5 and len(scan.exceptions) == recorded
-        assert calls == {"alt": 2 * recorded, "talagrand": recorded}
+        assert calls == {"alt": 2 * recorded, "talagrand": recorded, "ladder": 100}
+        for exc in scan.exceptions:
+            t = EvalTable.from_dict(exc["table"])
+            assert exc["report"] == classify(t).to_dict()
 
 
 def test_dichotomy_scan_rejects_negative_trials():

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import math
+from operator import ge, le
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,8 @@ from dividing_lines import (
     shattering_dimension,
     transpose,
 )
+from dividing_lines import backend, ip
+from dividing_lines.core import ThresholdMasks
 from dividing_lines.errors import IndexOutOfRange, InvalidWitness, TooManyColumns
 from dividing_lines.ip import MAX_SHATTER_COLS
 
@@ -99,6 +104,57 @@ def test_dimension_stops_at_log_rows(t, nodes, dim, cols):
     res = shattering_dimension(t, TH, nodes)
     assert (res.dim, res.witness.cols, res.exact) == (dim, cols, True)
     assert not shattering_dimension(t, TH, nodes - 1).exact
+
+
+def _twin_tables():
+    # seeded 8-row tables of entries 0, 0.5 and 1 built from 10 columns with
+    # repeats, so twin columns straddle the 32- and 64-bit boundaries; odd
+    # seeds plant full_pattern(3), so that some set of 3 columns is shattered
+    for width in (31, 32, 33, 63, 64, 65):
+        for seed in range(2):
+            rng = np.random.default_rng([seed, width, 24])
+            base = rng.integers(0, 3, size=(8, 10)) / 2
+            if seed:
+                base[:, rng.choice(10, 3, replace=False)] = full_pattern(3).entries
+            idx = rng.integers(0, 10, size=width)
+            idx[-1] = idx[0]
+            yield pytest.param(base[:, idx], id=f"{width}-{seed}")
+
+
+def _shatter_tuple(res):
+    if res.witness is None:
+        return res.dim, (), {}
+    return res.dim, res.witness.cols, dict(res.witness.selector)
+
+
+@pytest.mark.parametrize("entries", _twin_tables())
+def test_dimension_with_twins_is_lexfirst(entries):
+    # twin columns, and in the dual twin rows, are searched once: the first
+    # maximum set and its lowest selector rows are still the ones returned
+    t = EvalTable(entries, bound=1.0)
+    want = orc.lexfirst_shatter(t, 0.0, 1.0)
+    res = shattering_dimension(t, TH)
+    assert res.exact and _shatter_tuple(res) == want
+    tall = transpose(t)
+    res = ip._shattering_dimension(ThresholdMasks(tall), TH, 10**6, dual=True)
+    assert res.exact and _shatter_tuple(res) == want
+
+
+@pytest.mark.parametrize("entries", _twin_tables())
+def test_dimension_with_twins_never_below_plain_search(entries):
+    # the same search order over fewer columns: a budget-bound dim can only
+    # rise, and an exact plain search gives the same result
+    t = EvalTable(entries, bound=1.0)
+    masks = ThresholdMasks(t)
+    n_rows, n_cols = entries.shape
+    max_k = min(int(math.log2(n_rows)), MAX_SHATTER_COLS, n_cols)
+    for budget in (5, 30, 200, 2_000, 10**4):
+        dim, cols, _, exact = backend.shatter_dim_search(
+            masks[le, 0.0, True], masks[ge, 1.0, True], n_rows, max_k, budget)
+        res = shattering_dimension(t, TH, budget)
+        assert res.dim >= dim, budget
+        if exact:
+            assert res.exact and _shatter_tuple(res)[:2] == (dim, cols), budget
 
 
 def test_dual_dimension_via_transpose():

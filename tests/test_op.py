@@ -240,6 +240,36 @@ def test_ladder_search_budget_monotone():
                 assert results[-1][3], (n, seed, model)
 
 
+def _ladder_digest_calls():
+    # seeded Bernoulli and uniform tables of 2x2 to 14x17, in both
+    # orientations, at budgets that leave about a quarter of the calls inexact
+    for seed in range(120):
+        rng = np.random.default_rng([seed, 24])
+        n_rows, n_cols = (int(x) for x in rng.integers(2, [15, 18]))
+        model = ("bernoulli", "uniform")[seed % 2]
+        th = TH if model == "bernoulli" else ThresholdPair(-0.3, 0.3)
+        masks = ThresholdMasks(random_table(n_rows, n_cols, model, seed=[seed, 24]))
+        for by_col in (True, False):
+            ge_by, le_by = masks[ge, th.r, by_col], masks[le, th.s, not by_col]
+            for budget in (5, 30, 200, 2_000, 10**5):
+                for floor, cap in ((0, None), (1, None), (2, 4)):
+                    yield ge_by, le_by, budget, floor, cap
+
+
+def test_ladder_search_frozen_digest():
+    # (length, rows, cols, exact) of 3,600 calls, 1,028 of them budget-bound:
+    # a column a state's later rows skip must still cost its node, so every
+    # result, inexact ones included, stays as it was before the column filter
+    h = hashlib.sha256()
+    inexact = 0
+    for args in _ladder_digest_calls():
+        res = backend.ladder_search(*args)
+        inexact += not res[3]
+        h.update(repr(res).encode())
+    assert inexact == 1028
+    assert h.hexdigest() == "8e667377fbff58a3db88319eeac1be8c6ecd1b088d24f158fe5f7e54812f5f64"
+
+
 @pytest.mark.parametrize("seed, length", [(0, 10), (1, 9)])
 def test_ladder_bernoulli_32x32_exact(seed, length):
     t = random_table(32, 32, "bernoulli", seed=[seed, 32, 16])

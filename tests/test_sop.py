@@ -21,6 +21,8 @@ from dividing_lines import (
     strict_chain,
     transpose,
 )
+from dividing_lines import sop
+from dividing_lines.core import bitmasks
 from dividing_lines.errors import SearchBudgetExceeded
 
 E1 = Epsilon(1.0)
@@ -40,6 +42,21 @@ def test_psi_pointwise_domination(tbl):
     m = preorder_psi(t)
     assert m.dominates(0, 1)
     assert not m.dominates(1, 0)
+
+
+@pytest.mark.parametrize("width", [31, 32, 33, 63, 64, 65, 128])
+def test_above_masks_match_preorder_psi(width):
+    # the direct comparison gives psi's masks: ties are comparable both ways,
+    # and so are -0.0 and 0.0
+    for seed, n_rows in enumerate((2, 4, 7)):
+        rng = np.random.default_rng([seed, width, 24])
+        entries = rng.choice([-1.0, -0.0, 0.0, 0.5, 1.0], size=(n_rows, width))
+        entries[:, 0] = np.abs(entries[:, 1])
+        entries[:, -1] = -np.abs(entries[:, 1])
+        t = EvalTable(entries)
+        flags = preorder_psi(t).psi <= 0
+        np.fill_diagonal(flags, False)
+        assert sop._above_masks(t) == bitmasks(flags), (width, seed)
 
 
 def test_strict_chain_half_graph():
