@@ -5,7 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, replace
-from typing import Sequence
+from functools import cache
 
 from . import ip, op, sop, talagrand
 from .core import (Epsilon, EvalTable, ThresholdMasks, ThresholdPair, Witness, integer,
@@ -109,29 +109,16 @@ def _checked_witness(t: EvalTable, w: Witness | None) -> dict | None:
 # every section of a report, in report order
 _SECTIONS = ("ladder", "alternation_ii", "alternation_iii", "shattering_primal",
              "shattering_dual", "strict_chain", "sop_literal", "talagrand")
-# the sections the verdicts read
-_VERDICT_SECTIONS = ("ladder", "shattering_primal", "strict_chain")
 
 
-def _sections(t: EvalTable, params: ClassifyParams,
-              names: Sequence[str]) -> tuple[dict, list[tuple[str, str]]]:
-    """Run the named report sections on `t`, in report order, re-validating
-    each emitted witness.  A section that raises a DividingLinesError is None
-    and adds an (name, message) entry to the returned errors."""
+def _sections(t: EvalTable, params: ClassifyParams):
+    """(section, errors) for `t`: `section(name)` runs the named report
+    section on its first call and keeps the result, re-validating each
+    emitted witness; all sections share one mask set and one column
+    pre-order.  A section that raises a DividingLinesError is None and adds
+    its message, under its name, to `errors`."""
     th = ThresholdPair(params.s, params.r)
     eps = Epsilon(params.eps)
-    sections: dict = {}
-    errors: list[tuple[str, str]] = []
-
-    def run(name: str, fn, *args):
-        if name not in names:
-            return
-        try:
-            sections[name] = fn(*args)
-        except DividingLinesError as exc:
-            sections[name] = None
-            errors.append((name, f"{type(exc).__name__}: {exc}"))
-
     # the `<= s` and `>= r` masks every threshold detector reads
     masks = ThresholdMasks(t)
 
@@ -173,23 +160,36 @@ def _sections(t: EvalTable, params: ClassifyParams,
         )
         return {"k_min": k_min, "reports": [r.to_dict() for r in reports]}
 
-    run("ladder", run_ladder)
-    run("alternation_ii", run_alt, "ii")
-    run("alternation_iii", run_alt, "iii")
-    run("shattering_primal", run_shatter, False)
-    run("shattering_dual", run_shatter, True)
-    run("strict_chain", run_chain)
-    run("sop_literal", run_sop_literal)
-    run("talagrand", run_talagrand)
-    return sections, errors
+    runners = {
+        "ladder": run_ladder,
+        "alternation_ii": lambda: run_alt("ii"),
+        "alternation_iii": lambda: run_alt("iii"),
+        "shattering_primal": lambda: run_shatter(False),
+        "shattering_dual": lambda: run_shatter(True),
+        "strict_chain": run_chain,
+        "sop_literal": run_sop_literal,
+        "talagrand": run_talagrand,
+    }
+    errors: dict[str, str] = {}
+
+    @cache
+    def section(name: str):
+        try:
+            return runners[name]()
+        except DividingLinesError as exc:
+            errors[name] = f"{type(exc).__name__}: {exc}"
+            return None
+
+    return section, errors
 
 
-def _verdicts(sections: dict, params: ClassifyParams) -> dict:
+def _verdicts(section, params: ClassifyParams) -> dict:
     """The op / ip / sop verdicts from the ladder, primal shattering and
-    strict chain sections; a missing or failed section counts as 0."""
-    ladder_len = sections["ladder"]["length"] if sections.get("ladder") else 0
-    ip_dim = sections["shattering_primal"]["dim"] if sections.get("shattering_primal") else 0
-    chain_m = sections["strict_chain"]["m"] if sections.get("strict_chain") else 0
+    strict chain sections; a failed section counts as 0."""
+    ladder, shatter, chain = map(section, ("ladder", "shattering_primal", "strict_chain"))
+    ladder_len = ladder["length"] if ladder else 0
+    ip_dim = shatter["dim"] if shatter else 0
+    chain_m = chain["m"] if chain else 0
     return {
         "op_detected": ladder_len >= params.min_ladder,
         "op_trigger": {"ladder_length": ladder_len, "cutoff": params.min_ladder},
@@ -206,19 +206,15 @@ def classify(t: EvalTable, params: ClassifyParams = ClassifyParams()) -> Classif
     A failing component contributes an explicit error entry instead of a
     silently missing section.
     """
-    return _report(t, params, {}, [])
+    return _report(t, params, *_sections(t, params))
 
 
-def _report(t: EvalTable, params: ClassifyParams, sections: dict,
-            errors: list[tuple[str, str]]) -> ClassificationReport:
-    """`classify`'s report, given the sections (and their errors) a caller
-    already ran on `t` with `params`; only the other sections run."""
-    more, more_errors = _sections(t, params, [n for n in _SECTIONS if n not in sections])
-    done = {**sections, **more}
-    merged = {name: done[name] for name in _SECTIONS}
-    merged["verdicts"] = _verdicts(merged, params)
-    errors = sorted(errors + more_errors, key=lambda e: _SECTIONS.index(e[0]))
-    return ClassificationReport(table_digest(t), params, merged, tuple(errors))
+def _report(t: EvalTable, params: ClassifyParams, section, errors: dict) -> ClassificationReport:
+    """The report of `_sections(t, params)`: every section and error in report order."""
+    sections = {name: section(name) for name in _SECTIONS}
+    sections["verdicts"] = _verdicts(section, params)
+    errors = tuple((name, errors[name]) for name in _SECTIONS if name in errors)
+    return ClassificationReport(table_digest(t), params, sections, errors)
 
 
 @dataclass(frozen=True)
@@ -258,13 +254,13 @@ def dichotomy_scan(
 
     Tabulates tables with ladder >= min_ladder and, among those, how many
     show IP (dim >= min_ip_dim) or SOP (chain >= min_chain).  Each trial
-    runs only the three detectors its verdicts read (ladder, primal
-    shattering, strict chain), with `classify`'s own code, budgets and
-    witness checks, so its line matches the one `classify`'s verdicts give.
-    Tables with a long ladder but neither explanation are serialized with
-    their full `classify` report (capped at `exception_cap`; only those
-    recorded run the other five sections, and their report reuses the
-    trial's three); at finite scale they are expected data, not failures.
+    builds `classify`'s lazily run sections and reads only the three its
+    verdicts need (ladder, primal shattering, strict chain), so its line
+    matches the one `classify`'s verdicts give.  Tables with a long ladder
+    but neither explanation are serialized with their full `classify`
+    report (capped at `exception_cap`); only those recorded read the other
+    five sections, with the trial's masks, pre-order and three sections
+    already run.  At finite scale they are expected data, not failures.
     """
     trials, seed = integer(trials, "trials", 0), integer(seed, "seed", 0)
     exception_cap = integer(exception_cap, "exception_cap", 0)
@@ -276,8 +272,8 @@ def dichotomy_scan(
     for i in range(trials):
         cfg_seed = [seed, i] if gen.kind == "random_table" else gen.seed
         table = generate(replace(gen, seed=cfg_seed))
-        sections, errors = _sections(table, params, _VERDICT_SECTIONS)
-        v = _verdicts(sections, params)
+        section, errors = _sections(table, params)
+        v = _verdicts(section, params)
         digests.append(
             f"trial={i} digest={table_digest(table)[:16]} "
             f"op={v['op_detected']} ip={v['ip_detected']} sop={v['sop_detected']}"
@@ -287,7 +283,7 @@ def dichotomy_scan(
             if v["ip_detected"] or v["sop_detected"]:
                 explained += 1
             elif len(exceptions) < exception_cap:
-                report = _report(table, params, sections, errors)
+                report = _report(table, params, section, errors)
                 exceptions.append({"trial": i, "table": table.to_dict(),
                                    "report": report.to_dict()})
     exception_count = long_ladder - explained

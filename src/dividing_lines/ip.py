@@ -130,15 +130,12 @@ def _shattering_dimension(masks: ThresholdMasks, th: ThresholdPair, exact_limit:
     # twin columns (equal low and high masks) are searched once, at the
     # first: a shattered set holds no two twins, and one that holds a later
     # twin stays shattered, and sorts first, with the earlier twin in place
-    keys = list(zip(low_by_col, high_by_col))
-    originals = None
-    if len(set(keys)) < len(keys):
-        first: dict[tuple[int, int], int] = {}
-        for c, key in enumerate(keys):
-            first.setdefault(key, c)
-        originals = list(first.values())  # ascending, in insertion order
-        low_by_col = [low_by_col[c] for c in originals]
-        high_by_col = [high_by_col[c] for c in originals]
+    first: dict[tuple[int, int], int] = {}
+    for c, key in enumerate(zip(low_by_col, high_by_col)):
+        first.setdefault(key, c)
+    originals = list(first.values())  # ascending, in insertion order
+    low_by_col = [low_by_col[c] for c in originals]
+    high_by_col = [high_by_col[c] for c in originals]
     max_k = min(int(math.log2(n_rows)) if n_rows > 1 else 0, MAX_SHATTER_COLS, len(low_by_col))
     if max_k == 0:
         return ShatterDimResult(0, None, True)
@@ -147,8 +144,7 @@ def _shattering_dimension(masks: ThresholdMasks, th: ThresholdPair, exact_limit:
     )
     if dim == 0:
         return ShatterDimResult(0, None, exact)
-    if originals:
-        cols = tuple(originals[c] for c in cols)
+    cols = tuple(originals[c] for c in cols)
     selector = {p: (m & -m).bit_length() - 1 for p, m in enumerate(selector_masks)}
     return ShatterDimResult(dim, ShatterWitness(cols, th, selector), exact)
 

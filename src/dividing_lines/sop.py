@@ -131,8 +131,8 @@ def strict_chain(t: EvalTable, e: Epsilon) -> StrictChainResult:
     ascending count of columns above finds the longest path from each,
     without recursion and so without a depth limit.  Ties go to the lowest
     column index, at the start and at each step.  It costs O(rows * cols^2)
-    time and cols^2 floats (`preorder_psi`), plus O(cols * m) operations
-    on cols-bit masks.  m >= 1 always.
+    time and a cols^2 boolean array built in column blocks (`_above_masks`),
+    plus O(cols * m) operations on cols-bit masks.  m >= 1 always.
     """
     return _strict_chain(t, e, _above_masks(t))
 

@@ -73,6 +73,18 @@ def _check_subset(t: EvalTable, E: Sequence[int]) -> tuple[int, ...]:
     return members
 
 
+def _check_mode(mode: str, seed: int | None, samples: int) -> tuple[int | None, int]:
+    """(seed, samples), checked in mc mode, where a seed is required."""
+    if mode == "mc":
+        samples = integer(samples, "samples", 1)
+        if seed is None:
+            raise ValueError("mc mode requires a seed")
+        seed = integer(seed, "seed", 0)
+    elif mode != "exact":
+        raise ValueError(f"unknown mode {mode!r}")
+    return seed, samples
+
+
 def _draw_tuples(rng: np.random.Generator, n: int, m: int, samples: int,
                  distinct: bool) -> np.ndarray:
     """(samples, m) array of uniform m-tuples over range(n), with pairwise
@@ -212,13 +224,7 @@ def dk_count(
     holds it as a float, and when k is not an integer >= 1.
     """
     k, budget = integer(k, "k", 1), integer(budget, "budget", 0)
-    if mode == "mc":
-        samples = integer(samples, "samples", 1)
-        if seed is None:
-            raise ValueError("mc mode requires a seed")
-        seed = integer(seed, "seed", 0)
-    elif mode != "exact":
-        raise ValueError(f"unknown mode {mode!r}")
+    seed, samples = _check_mode(mode, seed, samples)
     members = _check_subset(t, E)
     n = len(members)
     tuples = _tuple_space(n, k, mode, budget)
@@ -293,13 +299,7 @@ def shattered_tuple_fraction(
     It is 0.0 without a search when 2^n exceeds the number of columns,
     since a column realizes at most one of the 2^n patterns."""
     n, budget = integer(n, "n", 1), integer(budget, "budget", 0)
-    if mode == "mc":
-        samples = integer(samples, "samples", 1)
-        if seed is None:
-            raise ValueError("mc mode requires a seed")
-        seed = integer(seed, "seed", 0)
-    elif mode != "exact":
-        raise ValueError(f"unknown mode {mode!r}")
+    seed, samples = _check_mode(mode, seed, samples)
     members = _check_subset(t, E)
     size = len(members)
     if size < n:

@@ -25,7 +25,7 @@ from dividing_lines import (
     validate_witness,
     witness_from_dict,
 )
-from dividing_lines import backend, core, op, talagrand
+from dividing_lines import backend, core, op, sop, talagrand
 from dividing_lines.errors import InvalidWitness
 
 SECTION_NAMES = (
@@ -213,10 +213,10 @@ def test_dichotomy_scan_matches_classify(shape, model, params):
 def test_dichotomy_scan_classifies_only_recorded_exceptions(monkeypatch):
     # alternation ii / iii and the Talagrand scan run only inside the full
     # classify of a recorded exception, and its report reuses the trial's
-    # ladder: one ladder per trial
-    calls = {"alt": 0, "talagrand": 0, "ladder": 0}
+    # ladder and column pre-order: one of each per trial
+    calls = {"alt": 0, "talagrand": 0, "ladder": 0, "above": 0}
     alternation_rank, almost_nip_scan = op.alternation_rank, talagrand._almost_nip_scan
-    ladder = op._ladder
+    ladder, above_masks = op._ladder, sop._above_masks
 
     def counted(key, fn):
         def call(*args, **kwargs):
@@ -227,12 +227,14 @@ def test_dichotomy_scan_classifies_only_recorded_exceptions(monkeypatch):
     monkeypatch.setattr(op, "alternation_rank", counted("alt", alternation_rank))
     monkeypatch.setattr(talagrand, "_almost_nip_scan", counted("talagrand", almost_nip_scan))
     monkeypatch.setattr(op, "_ladder", counted("ladder", ladder))
+    monkeypatch.setattr(sop, "_above_masks", counted("above", above_masks))
     gen = GeneratorConfig(kind="random_table", n_rows=5, n_cols=5)
     for cap, recorded in ((0, 0), (2, 2), (25, 5)):
-        calls.update(alt=0, talagrand=0, ladder=0)
+        calls.update(alt=0, talagrand=0, ladder=0, above=0)
         scan = dichotomy_scan(gen, trials=100, seed=3, exception_cap=cap)
         assert scan.exception_count == 5 and len(scan.exceptions) == recorded
-        assert calls == {"alt": 2 * recorded, "talagrand": recorded, "ladder": 100}
+        assert calls == {"alt": 2 * recorded, "talagrand": recorded, "ladder": 100,
+                         "above": 100}
         for exc in scan.exceptions:
             t = EvalTable.from_dict(exc["table"])
             assert exc["report"] == classify(t).to_dict()
