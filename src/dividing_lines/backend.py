@@ -111,7 +111,9 @@ def ladder_search(
     the state's rows >= r at j were still enough to beat the record, since
     no other column can give a child that does.  A column a later row
     skips is still charged its node, so the search spends, records and
-    stops exactly as if it had tried every column.
+    stops exactly as if it had tried every column.  Once the record leaves
+    a state's rows too few to beat it, the state charges the rest of its
+    current row's columns and returns: every later row would be cut.
     Records start above `floor` >= 0, a length the caller already holds a
     ladder for or only asks to beat, and the search ends exact once the
     record reaches `cap`, a proven upper bound (default min(n_rows,
@@ -147,9 +149,10 @@ def ladder_search(
             i = row.bit_length() - 1
             new_cols = avail_cols & le_by_row[i]
             # every child of row i keeps at most rows_left rows and the
-            # columns of new_cols; best_len only grows, so the cut holds for
-            # the whole row
-            if min(rows_left, new_cols.bit_count()) <= best_len - depth - 1:
+            # columns of new_cols; rows_left beats the record here (checked
+            # on entry and after each record), and best_len only grows, so
+            # the cut on new_cols holds for the whole row
+            if new_cols.bit_count() <= best_len - depth - 1:
                 continue
             if kept is None:
                 # the state's first row walks every column, one node each, and
@@ -177,9 +180,10 @@ def ladder_search(
                         if col_rows.bit_count() > need:
                             kept.append((rank, col, col_rows))
                             child_rows = col_rows & ~row
-                            child_cols = new_cols & ~col
-                            if child_rows.bit_count() > need and child_cols.bit_count() > need:
-                                break
+                            if child_rows.bit_count() > need:
+                                child_cols = new_cols & ~col
+                                if child_cols.bit_count() > need:
+                                    break
                     else:
                         break
                 else:
@@ -189,10 +193,11 @@ def ladder_search(
                         if nodes > budget:
                             raise _BudgetHit
                         child_rows = col_rows & ~row
-                        child_cols = new_cols & ~col
                         need = best_len - depth - 1
-                        if child_rows.bit_count() > need and child_cols.bit_count() > need:
-                            break
+                        if child_rows.bit_count() > need:
+                            child_cols = new_cols & ~col
+                            if child_cols.bit_count() > need:
+                                break
                     else:
                         break
                 rseq.append(i)
@@ -212,6 +217,14 @@ def ladder_search(
                     yield state(child_rows, child_cols, rseq, cseq)
                 rseq.pop()
                 cseq.pop()
+                if rows_left <= best_len - depth - 1:
+                    # the record grew past every child this state can give:
+                    # the rest of this row's columns cost their node each and
+                    # every later row is cut, so the state ends here
+                    nodes += n_avail - (rank if later is None else last)
+                    if nodes > budget:
+                        raise _BudgetHit
+                    return
             nodes += n_avail - last
             if nodes > budget:
                 raise _BudgetHit

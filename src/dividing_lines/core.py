@@ -187,9 +187,10 @@ def bitmasks(flags) -> list[int]:
 
 class ThresholdMasks(dict):
     """The `<= s` and `>= r` bitmasks of table `t` that every detector reads,
-    each list built on first use and then kept.  Key (op, v, by_col), op
-    `operator.le` or `operator.ge`: `bitmasks(op(t.entries, v))`, one mask per
-    row, or per column with `by_col` (the per-row masks of `transpose(t)`)."""
+    each list built on first use, or for every value at once by `sweep`, and
+    then kept.  Key (op, v, by_col), op `operator.le` or `operator.ge`:
+    `bitmasks(op(t.entries, v))`, one mask per row, or per column with
+    `by_col` (the per-row masks of `transpose(t)`)."""
 
     def __init__(self, t: EvalTable):
         super().__init__()
@@ -200,6 +201,34 @@ class ThresholdMasks(dict):
         flags = op(self.t.entries, v)
         self[key] = masks = bitmasks(flags.T if by_col else flags)
         return masks
+
+    def sweep(self) -> list[float]:
+        """Build the `>= v` per-column lists of every distinct value v but the
+        smallest and the `<= v` per-row lists of every one but the largest,
+        and return the distinct values in ascending order.  One sort of the
+        cells orders them; walking the values down, each `>= v` list is the
+        one before it with v's cells OR-ed in, and walking up, so is each
+        `<= v` list.  It pays for a whole table's values at once, so only a
+        caller that reads most of them should use it."""
+        n_rows, n_cols = self.t.entries.shape
+        flat = self.t.entries.ravel()
+        order = np.argsort(flat, kind="stable")
+        cells = flat[order]
+        # the first sorted cell of each distinct value (-0.0 == 0.0)
+        starts = [0, *(np.flatnonzero(cells[1:] != cells[:-1]) + 1).tolist(), flat.size]
+        values = cells[starts[:-1]].tolist()
+        rows, cols = (idx.tolist() for idx in np.divmod(order, n_cols))
+        ge_by_col = [0] * n_cols
+        for k in range(len(values) - 1, 0, -1):
+            for p in range(starts[k], starts[k + 1]):
+                ge_by_col[cols[p]] |= 1 << rows[p]
+            self[operator.ge, values[k], True] = ge_by_col.copy()
+        le_by_row = [0] * n_rows
+        for k in range(len(values) - 1):
+            for p in range(starts[k], starts[k + 1]):
+                le_by_row[rows[p]] |= 1 << cols[p]
+            self[operator.le, values[k], False] = le_by_row.copy()
+        return values
 
 
 def indices(t: EvalTable, idx: Iterable, axis: int) -> tuple[int, ...]:

@@ -257,10 +257,11 @@ def alternation_rank(
     raise ValueError(f"unknown variant {variant!r}")
 
 
-def _own_gap(t: EvalTable, w: LadderWitness) -> float:
+def _own_gap(entries: list[list[float]], w: LadderWitness) -> float:
     """The widest r - s at which `w` (length >= 2) is a ladder: its smallest
-    below-diagonal entry minus its largest above-diagonal entry."""
-    cells = t.entries[np.ix_(w.rows, w.cols)].tolist()
+    below-diagonal entry minus its largest above-diagonal entry, read from
+    the table's `entries.tolist()`."""
+    cells = [[entries[i][j] for j in w.cols] for i in w.rows]
     below = min(v for k, row in enumerate(cells) for v in row[:k])
     above = max(v for k, row in enumerate(cells) for v in row[k + 1 :])
     return below - above
@@ -284,16 +285,19 @@ def stability_spectrum(
     smallest below-diagonal entry minus its largest above-diagonal entry: a
     pair of table values at least as wide as the cell's, so cells that
     cannot beat it are never asked, at l and at every longer length the
-    ladder reaches.  Each pair is searched at most once, and every call
-    reads one `core.ThresholdMasks`, so each value's masks are built once.
+    ladder reaches.  Each pair is searched at most once.  Every call reads
+    one `core.ThresholdMasks`, whose forward lists (`>= r` by column, `<= s`
+    by row) one sorted sweep over the cells builds for every value before
+    the walk (`ThresholdMasks.sweep`): the walk reads nearly all of them.
     Every reported gap is attained by a ladder that exists, so it is a sound
     lower bound even when a call exhausts `exact_limit`; it equals the
     all-pairs maximum whenever every ladder call is exact.
     """
     max_len = integer(max_len, "max_len", 2)
     exact_limit = integer(exact_limit, "exact_limit", 0)
-    values = sorted(set(t.entries.ravel().tolist()))
     masks = ThresholdMasks(t)
+    values = masks.sweep()
+    entries = t.entries.tolist()
     # (a, b) -> (length of the ladder found, its own gap), or (l - 1, None)
     # when the call asking for length l found none
     searched: dict[tuple[int, int], tuple[int, float | None]] = {}
@@ -303,7 +307,7 @@ def stability_spectrum(
         if (a, b) not in searched:
             th = ThresholdPair(values[a], values[b])
             res = _ladder(masks, th, exact_limit, floor=length - 1)
-            gap = None if res.witness is None else _own_gap(t, res.witness)
+            gap = None if res.witness is None else _own_gap(entries, res.witness)
             searched[a, b] = (res.length, gap)
         found, gap = searched[a, b]
         return gap if found >= length else None

@@ -167,10 +167,8 @@ def _strict_chain(t: EvalTable, e: Epsilon, above: list[int]) -> StrictChainResu
     while nxt[c] >= 0:
         c = nxt[c]
         cols.append(c)
-    step_rows = tuple(
-        int(np.flatnonzero(vals[:, c2] >= vals[:, c] + e.eps)[0])
-        for c, c2 in zip(cols, cols[1:])
-    )
+    # each step is an edge, so some row qualifies, and argmax finds the first
+    step_rows = tuple(np.argmax(vals[:, cols[1:]] >= vals[:, cols[:-1]] + e.eps, axis=0).tolist())
     return StrictChainResult(len(cols), tuple(cols), step_rows)
 
 

@@ -207,6 +207,38 @@ def test_threshold_masks_match_bitmasks(width):
         assert len(masks) == 8
 
 
+def _sweep_tables():
+    rng = np.random.default_rng(26)
+    yield "uniform", EvalTable(rng.uniform(-1.0, 1.0, size=(7, 9)), bound=1.0)
+    yield "ties", EvalTable(rng.integers(-3, 4, size=(9, 7)).astype(float), bound=3.0)
+    zeros = rng.integers(-1, 2, size=(6, 6)).astype(float)
+    zeros[::2] *= -1.0  # -0.0 in the even rows, 0.0 in the odd ones
+    yield "signed-zero", EvalTable(zeros, bound=1.0)
+    yield "constant", EvalTable(np.full((3, 4), 0.5), bound=1.0)
+    for width in (31, 32, 33, 63, 64, 65, 128):
+        for shape in ((width, 5), (5, width)):
+            vals = rng.integers(0, 6, size=shape) if width % 2 else rng.uniform(-1.0, 1.0, shape)
+            yield f"{shape[0]}x{shape[1]}", EvalTable(vals, bound=6.0)
+
+
+@pytest.mark.parametrize("name, t", list(_sweep_tables()))
+def test_threshold_masks_sweep_matches_bitmasks(name, t):
+    masks = ThresholdMasks(t)
+    values = masks.sweep()
+    assert values == sorted(set(t.entries.ravel().tolist()))
+    swept = dict(masks)
+    assert len(swept) == 2 * (len(values) - 1)
+    for v in values[1:]:
+        assert swept[ge, v, True] == bitmasks(t.entries.T >= v), v
+    for v in values[:-1]:
+        assert swept[le, v, False] == bitmasks(t.entries <= v), v
+    if name == "signed-zero":
+        assert swept[le, -0.0, False] is swept[le, 0.0, False]
+    # every other key is still built on first use
+    assert masks[ge, values[0], False] == bitmasks(t.entries >= values[0])
+    assert len(masks) == len(swept) + 1
+
+
 def test_threshold_masks_build_each_key_once(monkeypatch):
     built = []
     build = core.bitmasks

@@ -699,6 +699,48 @@ def test_stability_spectrum_transposed_half_graph(n):
     assert spec == [(l, 1.0) for l in range(2, n + 1)] + [(n + 1, None)]
 
 
+def _spectrum_digest_tables():
+    for n in range(6, 11):
+        for seed in range(4):
+            yield random_table(n, n, "uniform", seed=[seed, n, 26])
+    for digits in (0, 1, 2):
+        for seed in range(2):
+            vals = np.round(random_table(9, 9, "uniform", seed=[seed, digits, 26]).entries, digits)
+            yield EvalTable(vals, bound=1.0)
+    for n in (7, 9, 11):
+        vals = np.random.default_rng([n, 26]).integers(0, 5, size=(n, n))
+        yield EvalTable(vals, bound=4.0)
+    # -0.0 and 0.0 are one threshold value
+    rng = np.random.default_rng([9, 27])
+    vals = rng.integers(-2, 3, size=(9, 9)).astype(float)
+    vals[(vals == 0) & (rng.random((9, 9)) < 0.5)] = -0.0
+    yield EvalTable(vals, bound=2.0)
+    for r, c in ((8, 8), (12, 8), (8, 12)):
+        for seed in range(2):
+            yield random_table(r, c, "bernoulli", seed=[seed, r, c, 26])
+    for n in (31, 32, 33, 63, 64, 65):
+        yield transpose(half_graph(n))
+
+
+def test_stability_spectrum_frozen_digest(monkeypatch):
+    # the spectra of 42 tables, every ladder call behind them exact; the mask
+    # sweep and the kernel's early return must not change them
+    exact = []
+    ladder = op._ladder
+
+    def recorded(*args, **kwargs):
+        res = ladder(*args, **kwargs)
+        exact.append(res.exact)
+        return res
+
+    monkeypatch.setattr(op, "_ladder", recorded)
+    h = hashlib.sha256()
+    for t in _spectrum_digest_tables():
+        h.update(repr(stability_spectrum(t, min(t.n_rows, t.n_cols) + 1)).encode())
+    assert len(exact) == 3603 and all(exact)
+    assert h.hexdigest() == "1f70e9482b58d298b4314c6d5333ff754195d9f4a5d137d46299bf446290e444"
+
+
 def _exact_values(t: EvalTable, th: ThresholdPair, e: Epsilon) -> dict[str, float]:
     """The value of each detector that permuting rows and columns keeps,
     for the detectors whose result on `t` is exact."""
@@ -747,6 +789,41 @@ def test_permuted_and_transposed_tables_keep_exact_values(n, model, th, eps):
         achieved = [mazur_approximate(u, range(t.n_cols), y).achieved
                     for u, y in ((t, target), (permuted, target[perm]))]
         assert abs(achieved[0] - achieved[1]) <= 1e-9, shape
+
+
+def _detector_values(t: EvalTable, th: ThresholdPair) -> list[tuple[int, bool]]:
+    ladder = max_ladder(t, th)
+    primal, dual = shattering_dimension(t, th), shattering_dimension(transpose(t), th)
+    return [(ladder.length, ladder.exact), (primal.dim, primal.exact), (dual.dim, dual.exact)]
+
+
+def _metamorphic_tables():
+    for n in (8, 10):
+        for seed in range(2):
+            yield random_table(n, n, "uniform", seed=[seed, n, 28])
+    for n in (31, 32, 33, 63, 64, 65):
+        for shape in ((n, 5), (5, n)):
+            yield random_table(*shape, "uniform", seed=[n, *shape, 28])
+            vals = np.random.default_rng([n, *shape, 28]).integers(0, 6, size=shape)
+            yield EvalTable(vals, bound=5.0)
+
+
+@pytest.mark.parametrize("t", [pytest.param(t, id=f"{t.n_rows}x{t.n_cols}-{k}")
+                               for k, t in enumerate(_metamorphic_tables())])
+def test_looser_thresholds_never_lower_ladder_or_shattering(t):
+    # raising s or lowering r only adds cells to the `<= s` and `>= r` sets,
+    # so no exact ladder length or shattering dimension falls; the spectrum
+    # walk relies on it for the ladder length
+    values = np.unique(t.entries).tolist()
+    rng = np.random.default_rng([t.n_rows, t.n_cols, 29])
+    for _ in range(4):
+        a, b, c, d = (values[k] for k in np.sort(rng.choice(len(values), 4, replace=False)))
+        base = _detector_values(t, ThresholdPair(a, d))
+        for s, r in ((b, d), (a, c), (b, c)):
+            looser = _detector_values(t, ThresholdPair(s, r))
+            for (low, low_exact), (high, high_exact) in zip(base, looser):
+                if low_exact and high_exact:
+                    assert high >= low, ((a, d), (s, r))
 
 
 def test_stability_spectrum_rejects_short():
