@@ -40,6 +40,14 @@ alternation iii and shattering searches also stop, exact, as soon as the
 record reaches a proven maximum (at most one row and one column per step
 or cell; at most floor(log2 rows) shattered columns), so a search that
 finds the optimum early does not spend its budget proving it.
+
+`dk_count_free` is a count, not a search, and has no budget.  It builds
+its lattice by whichever of two exact methods takes fewer operations on
+the masks at hand: a DP over intersection masks, about k^2 * |low| * |high|
+dictionary updates for |low| and |high| distinct masks, or
+inclusion-exclusion over the subsets of the c alternating columns, about
+2^c * (c + k^2).  Dense tables with few columns (`full_pattern`, tall
+narrow tables) take inclusion-exclusion; wide ones keep the DP.
 """
 from __future__ import annotations
 
@@ -632,13 +640,39 @@ def dk_count_free(
     `low` and `high` group the member rows by mask: one (mask, number of
     rows) pair per distinct non-zero mask.  With a = b this counts the
     alternating 2a-tuples: a tuple w realizes the pattern iff some column is
-    <= s at every even coordinate and >= r at every odd one.  AND commutes,
-    so the low steps run first, once, and the high steps start afresh from
-    the state after each low step.  Counted by dynamic programming over
-    intersection masks, so a step scales with the number of distinct masks
-    rather than rows.  The whole lattice takes O(k^2) steps, and it holds
-    the counts of every k' <= k, so one lattice serves a whole scan over k.
+    <= s at every even coordinate and >= r at every odd one.  The lattice
+    holds the counts of every k' <= k, so one lattice serves a whole scan
+    over k.
+
+    The alternating columns are those where some low row and some high row
+    sit; with c of them, inclusion-exclusion (`_dk_free_ie`) takes about
+    2^c * (c + k^2) operations and the mask DP (`_dk_free_dp`) about
+    k^2 * |low| * |high| dictionary updates.  The lattice comes from the
+    cheaper of the two by these counts; both are exact, so the choice never
+    changes a count.  `full_pattern(6)` (c = 6, 63 x 63 masks) takes
+    inclusion-exclusion, Bernoulli 24 x 24 (c = 24) the DP.
     """
+    c = (_or_masks(low) & _or_masks(high)).bit_count()
+    if (1 << c) * (c + k * k) < k * k * len(low) * len(high):
+        return _dk_free_ie(low, high, k, diagonal)
+    return _dk_free_dp(low, high, k, diagonal)
+
+
+def _or_masks(groups: list[tuple[int, int]]) -> int:
+    """The columns in some mask of `groups`."""
+    out = 0
+    for mask, _ in groups:
+        out |= mask
+    return out
+
+
+def _dk_free_dp(
+    low: list[tuple[int, int]], high: list[tuple[int, int]], k: int, diagonal: bool
+) -> list[list[int | None]]:
+    """The `dk_count_free` lattice by dynamic programming over intersection
+    masks, so a step scales with the number of distinct masks rather than
+    rows.  AND commutes, so the low steps run first, once, and the high
+    steps start afresh from the state after each low step: O(k^2) steps."""
     free: list[list[int | None]] = [[None] * (k + 1) for _ in range(k + 1)]
     low_states = {~0: 1}
     for a in range(1, k + 1):
@@ -647,6 +681,82 @@ def dk_count_free(
         for b in range(1, (a if diagonal else k) + 1):
             states = _dk_step(states, high)
             free[a][b] = sum(states.values())
+    return free
+
+
+def _column_runs(cols: int) -> list[tuple[int, int, int]]:
+    """(first column, run mask, first bit of the projection) for each run
+    of consecutive columns in the mask `cols`, lowest first."""
+    runs = []
+    bit = 0
+    while cols:
+        start = (cols & -cols).bit_length() - 1
+        shifted = cols >> start
+        run = (~shifted & (shifted + 1)) - 1  # the trailing ones of shifted
+        runs.append((start, run, bit))
+        bit += run.bit_length()
+        cols &= ~(run << start)
+    return runs
+
+
+def _superset_sums(
+    low: list[tuple[int, int]], high: list[tuple[int, int]], cols: int
+) -> tuple[list[int], list[int]]:
+    """For each subset x of the columns in the mask `cols` (bit i of x
+    standing for its i-th lowest column), the numbers of low and of high
+    rows whose masks hold every column of x: each group mask projected onto
+    `cols`, then one zeta transform (superset sums, bit by bit)."""
+    runs = _column_runs(cols)
+    size = 1 << cols.bit_count()
+    lows, highs = [0] * size, [0] * size
+    for groups, counts in ((low, lows), (high, highs)):
+        projected = [0] * len(groups)
+        for start, run, bit in runs:
+            projected = [x | (mask >> start & run) << bit
+                         for x, (mask, _) in zip(projected, groups)]
+        for x, (_, rows) in zip(projected, groups):
+            counts[x] += rows
+    bit = 1
+    while bit < size:
+        for x in range(size):
+            if not x & bit:
+                lows[x] += lows[x | bit]
+                highs[x] += highs[x | bit]
+        bit <<= 1
+    return lows, highs
+
+
+def _dk_free_ie(
+    low: list[tuple[int, int]], high: list[tuple[int, int]], k: int, diagonal: bool
+) -> list[list[int | None]]:
+    """The `dk_count_free` lattice by inclusion-exclusion over the columns
+    where some low row and some high row sit (the alternating columns A).
+
+    A sequence's masks intersect iff they share some column of A, so
+
+        free[a][b] = sum over non-empty x of A of (-1)^(|x|+1) L(x)^a H(x)^b
+
+    with L(x) and H(x) the numbers of low and high rows whose masks hold x
+    (Rota 1964; the superset sums are a zeta transform, as in Bjorklund,
+    Husfeldt, Kaski and Koivisto 2007).  Subsets with the same (L, H) pair
+    share their terms, so the powers run once per distinct pair."""
+    lows, highs = _superset_sums(low, high, _or_masks(low) & _or_masks(high))
+    sign: dict[tuple[int, int], int] = {}
+    for x in range(1, len(lows)):
+        if lows[x] and highs[x]:
+            pair = lows[x], highs[x]
+            sign[pair] = sign.get(pair, 0) + (1 if x.bit_count() & 1 else -1)
+    free: list[list[int | None]] = [
+        [None] + [0 if a and b <= (a if diagonal else k) else None for b in range(1, k + 1)]
+        for a in range(k + 1)]
+    for (l_rows, h_rows), mult in sign.items():
+        term = mult
+        for a in range(1, k + 1):
+            term *= l_rows
+            row, cell = free[a], term
+            for b in range(1, (a if diagonal else k) + 1):
+                cell *= h_rows
+                row[b] += cell
     return free
 
 

@@ -289,6 +289,9 @@ def stability_spectrum(
     one `core.ThresholdMasks`, whose forward lists (`>= r` by column, `<= s`
     by row) one sorted sweep over the cells builds for every value before
     the walk (`ThresholdMasks.sweep`): the walk reads nearly all of them.
+    The first length with no ladder ends the walk, and every longer length
+    is None: a walk there would only re-read the cells this one cached as
+    having no ladder, so the result is the same at any `exact_limit`.
     Every reported gap is attained by a ladder that exists, so it is a sound
     lower bound even when a call exhausts `exact_limit`; it equals the
     all-pairs maximum whenever every ladder call is exact.
@@ -327,7 +330,11 @@ def stability_spectrum(
                     b -= 1
                 else:
                     best = gap  # at least values[b] - values[a]
-        spectrum.append((length, best if best > -math.inf else None))
+        if best == -math.inf:
+            # no ladder of this length, so none longer: a later walk would
+            # only re-read the cells this one cached as "none"
+            return spectrum + [(longer, None) for longer in range(length, max_len + 1)]
+        spectrum.append((length, best))
     return spectrum
 
 

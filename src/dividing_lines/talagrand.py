@@ -213,10 +213,12 @@ def dk_count(
     `distinct_coords`).
 
     Exact mode requires |E|^(2k) <= budget (BudgetExceeded otherwise).  It
-    groups the member rows by low and by high mask and runs one
-    `backend.dk_count_free` lattice, O(k^2) dynamic-programming steps over
-    the distinct masks; distinct counts combine its (a, b) entries by Mobius
-    inversion (`backend.dk_count_distinct`).
+    groups the member rows by low and by high mask and builds one
+    `backend.dk_count_free` lattice: O(k^2) dynamic-programming steps over
+    the distinct masks, or inclusion-exclusion over the subsets of the c
+    alternating columns when its 2^c * (c + k^2) operations are fewer;
+    distinct counts combine its (a, b) entries by Mobius inversion
+    (`backend.dk_count_distinct`).
     mc mode draws `samples` seeded uniform tuples in numpy batches (Floyd's
     subset algorithm and a random order when distinct) and returns an
     unbiased count estimate with its standard error.  Both modes raise
@@ -263,7 +265,9 @@ def almost_nip_scan(
     The first k whose |E|^(2k) exceeds `budget` or the float range raises
     as `dk_count` does, before any counting; otherwise one
     `backend.dk_count_free` lattice over k_max gives every k's count, so a
-    scan takes O(k_max^2) dynamic-programming steps.
+    scan takes O(k_max^2) dynamic-programming steps, or 2^c * (c + k_max^2)
+    operations by inclusion-exclusion over c alternating columns when that
+    is fewer.
     """
     k_max, budget = integer(k_max, "k_max", 1), integer(budget, "budget", 0)
     return _almost_nip_scan(ThresholdMasks(t), E, th, k_max, distinct_coords, budget)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import sys
+import time
 from operator import ge, le
 
 import numpy as np
@@ -824,6 +825,41 @@ def test_looser_thresholds_never_lower_ladder_or_shattering(t):
             for (low, low_exact), (high, high_exact) in zip(base, looser):
                 if low_exact and high_exact:
                     assert high >= low, ((a, d), (s, r))
+
+
+@pytest.mark.parametrize("t", [random_table(10, 10, "uniform", seed=[1, 9]),
+                               random_table(8, 12, "bernoulli", seed=[8, 12, 11]),
+                               half_graph(4)])
+@pytest.mark.parametrize("exact_limit", [30, 10**6])
+def test_stability_spectrum_stops_at_first_empty_length(monkeypatch, t, exact_limit):
+    # a length with no ladder has no longer ones: past it the spectrum is
+    # None without another ladder call, also when calls run out of budget
+    floors = []
+    ladder = op._ladder
+
+    def recorded(*args, **kwargs):
+        floors.append(kwargs["floor"])
+        return ladder(*args, **kwargs)
+
+    monkeypatch.setattr(op, "_ladder", recorded)
+    short_len = min(t.n_rows, t.n_cols)
+    short = stability_spectrum(t, short_len, exact_limit)
+    short_floors = floors[:]
+    floors.clear()
+    spectrum = stability_spectrum(t, 10_000, exact_limit)
+    assert spectrum == short + [(length, None) for length in range(short_len + 1, 10_001)]
+    first_empty = next(length for length, gap in spectrum if gap is None)
+    assert floors == short_floors and max(floors) < first_empty
+
+
+def test_stability_spectrum_long_max_len_is_cheap():
+    # walking 10^5 lengths one by one takes seconds; padding takes
+    # hundredths of one
+    t = random_table(10, 10, "uniform", seed=[1, 9])
+    t0 = time.perf_counter()
+    spectrum = stability_spectrum(t, 100_000)
+    assert time.perf_counter() - t0 < 1.0
+    assert len(spectrum) == 99_999 and spectrum[-1] == (100_000, None)
 
 
 def test_stability_spectrum_rejects_short():

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
+import operator
 import time
 import tracemalloc
 
@@ -24,6 +26,7 @@ from dividing_lines import (
     transpose,
 )
 from dividing_lines import backend, talagrand
+from dividing_lines.core import ThresholdMasks
 from dividing_lines.errors import BudgetExceeded, EmptySubset
 
 TH = ThresholdPair(0.0, 1.0)
@@ -464,3 +467,142 @@ def test_mc_memory_independent_of_samples():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20
+
+
+def _groups(t: EvalTable, members, th: ThresholdPair = TH):
+    """The (low, high) mask groups that `dk_count` hands the lattice."""
+    masks, members = ThresholdMasks(t), tuple(sorted(set(members)))
+    return (talagrand._mask_groups(masks[operator.le, th.s, False], members),
+            talagrand._mask_groups(masks[operator.ge, th.r, False], members))
+
+
+def _brute_free(low, high, k: int, diagonal: bool) -> list[list[int | None]]:
+    """The `dk_count_free` lattice by listing every row sequence."""
+    lows = [mask for mask, rows in low for _ in range(rows)]
+    highs = [mask for mask, rows in high for _ in range(rows)]
+    free = [[None] * (k + 1) for _ in range(k + 1)]
+    for a in range(1, k + 1):
+        for b in range(1, (a if diagonal else k) + 1):
+            free[a][b] = sum(
+                1 for seq in itertools.product(*[lows] * a, *[highs] * b)
+                if functools.reduce(operator.and_, seq))
+    return free
+
+
+def _sparse_wide(n_cols: int, cols: list[int], seed: int) -> EvalTable:
+    """6 x n_cols: random 0/1 in `cols`, and 0.5 (neither low nor high)
+    elsewhere, so only `cols` can alternate."""
+    entries = np.full((6, n_cols), 0.5)
+    entries[:, cols] = np.random.default_rng([seed, n_cols]).integers(0, 2, size=(6, len(cols)))
+    return EvalTable(entries, bound=1.0)
+
+
+def _lattice_cases():
+    """(table, thresholds, members) on which both lattice paths run."""
+    rng = np.random.default_rng(27)
+    cases = []
+    for i, (rows, cols) in enumerate([(5, 3), (6, 6), (8, 5), (12, 4)]):
+        t = random_table(rows, cols, seed=[27, i])
+        cases += [(t, TH, range(rows)), (t, TH, range(0, rows, 2))]
+        u = random_table(rows, cols, "uniform", seed=[27, i])
+        cases += [(u, ThresholdPair(-0.3, 0.3), range(rows)),
+                  (u, ThresholdPair(-0.3, 0.3), range(1, rows, 2))]
+        # -1 low, 1 high, 0 neither
+        three = EvalTable(rng.integers(-1, 2, size=(rows, cols)).astype(float), bound=1.0)
+        cases += [(three, ThresholdPair(-1.0, 1.0), range(rows)),
+                  (three, ThresholdPair(-1.0, 1.0), range(rows // 2))]
+    # masks past bits 31, 63 and 127, with runs of alternating columns split
+    for n in (31, 32, 33, 63, 64, 65, 128):
+        t = _sparse_wide(n, [0, n // 2, n - 3, n - 1], seed=1)
+        cases += [(t, TH, range(6)), (t, TH, [1, 2, 4, 5])]
+    # no alternating column
+    cases.append((EvalTable(np.zeros((5, 4)), bound=1.0), TH, range(5)))
+    return cases
+
+
+def test_lattice_paths_agree():
+    for t, th, members in _lattice_cases():
+        low, high = _groups(t, members, th)
+        for k in (1, 2, 3, 4):
+            for diagonal in (False, True):
+                dp = backend._dk_free_dp(low, high, k, diagonal)
+                assert backend._dk_free_ie(low, high, k, diagonal) == dp
+                if len(members) ** (2 * k) <= 1296:
+                    assert _brute_free(low, high, k, diagonal) == dp
+    zero = EvalTable(np.zeros((5, 4)), bound=1.0)
+    assert backend._dk_free_ie(*_groups(zero, range(5)), 2, False)[1:] == [[None, 0, 0]] * 2
+
+
+def test_lattice_path_choice(monkeypatch):
+    # full_pattern(6): 6 alternating columns against 63 x 63 distinct
+    # masks; Bernoulli 24 x 24: 2^24 column subsets against its DP
+    paths = []
+    for name in ("_dk_free_dp", "_dk_free_ie"):
+        helper = getattr(backend, name)
+        monkeypatch.setattr(backend, name,
+                            lambda *args, helper=helper, name=name:
+                            paths.append(name) or helper(*args))
+    dk_count(full_pattern(6), range(64), 2, TH, budget=64**4)
+    dk_count(random_table(24, 24), range(24), 2, TH)
+    assert paths == ["_dk_free_ie", "_dk_free_dp"]
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_full_pattern_closed_form_counts(m):
+    # row b holds the bits of b, so the rows <= s on every column of a set
+    # S (and those >= r) number 2^(m - |S|), and inclusion-exclusion over S
+    # gives both counts
+    t, n = full_pattern(m), 1 << m
+    budget = max(talagrand.DEFAULT_TUPLE_BUDGET, n**6)
+    scans = {distinct: almost_nip_scan(t, range(n), TH, 3, distinct, budget)[1]
+             for distinct in (False, True)}
+    for k in (1, 2, 3):
+        free = 4 ** (k * m) - (4**k - 1) ** m
+        distinct = sum((-1) ** (j + 1) * math.comb(m, j) * math.perm(1 << (m - j), k) ** 2
+                       for j in range(1, m + 1))
+        assert dk_count(t, range(n), k, TH, False, budget=budget).count == free
+        assert dk_count(t, range(n), k, TH, True, budget=budget).count == distinct
+        assert scans[False][k - 1].count == free and scans[True][k - 1].count == distinct
+    if m == 3:
+        assert [rep.count for rep in scans[True][:2]] == [37.0, 420.0]
+
+
+def _metamorphic_cases():
+    """(table, thresholds): at k = 2 the first three take inclusion-exclusion
+    and the last two the mask DP (test_metamorphic_counts checks that both
+    run)."""
+    return [
+        (full_pattern(4), TH),
+        (cantor_example(2, 4).table, TH),
+        (random_table(16, 4, seed=[28, 0]), TH),
+        (random_table(8, 8, seed=[28, 1]), TH),
+        (random_table(7, 7, "uniform", seed=[28, 2]), ThresholdPair(-0.3, 0.3)),
+    ]
+
+
+def test_metamorphic_counts(monkeypatch):
+    # a new column or a new member row never lowers an exact count; a copy
+    # of an existing column leaves it as it was
+    paths = set()
+    for name in ("_dk_free_dp", "_dk_free_ie"):
+        helper = getattr(backend, name)
+        monkeypatch.setattr(backend, name,
+                            lambda *args, helper=helper, name=name:
+                            paths.add(name) or helper(*args))
+    rng = np.random.default_rng(28)
+    for t, th in _metamorphic_cases():
+        e, n = t.entries, t.n_rows
+        extra = rng.choice(np.unique(e), size=(n, 1))
+        widened = EvalTable(np.hstack([e, extra]), bound=t.bound)
+        copied = EvalTable(np.hstack([e, e[:, [1]]]), bound=t.bound)
+        for k in (1, 2):
+            for distinct in (False, True):
+                def count(table, members):
+                    return dk_count(table, members, k, th, distinct, budget=10**12).count
+
+                base = count(t, range(n))
+                assert count(widened, range(n)) >= base
+                assert count(copied, range(n)) == base
+                assert count(t, range(n - 1)) <= base
+                assert count(t, range(1, n)) <= base
+    assert paths == {"_dk_free_dp", "_dk_free_ie"}
