@@ -8,8 +8,7 @@ from dataclasses import asdict, dataclass, replace
 from functools import cache
 
 from . import ip, op, sop, talagrand
-from .core import (Epsilon, EvalTable, ThresholdMasks, ThresholdPair, Witness, integer,
-                   serialize, transpose)
+from .core import Epsilon, EvalTable, ThresholdPair, Witness, integer, serialize, transpose
 from .errors import DividingLinesError, InvalidWitness, SearchBudgetExceeded
 from .generators import GeneratorConfig, generate
 from .op import AlternationWitness, LadderWitness
@@ -114,16 +113,15 @@ _SECTIONS = ("ladder", "alternation_ii", "alternation_iii", "shattering_primal",
 def _sections(t: EvalTable, params: ClassifyParams):
     """(section, errors) for `t`: `section(name)` runs the named report
     section on its first call and keeps the result, re-validating each
-    emitted witness; all sections share one mask set and one column
-    pre-order.  A section that raises a DividingLinesError is None and adds
-    its message, under its name, to `errors`."""
+    emitted witness; each calls a public detector, and all read `t.masks`
+    (dual shattering through `transpose(t)`).  A section that raises a
+    DividingLinesError is None and adds its message, under its name, to
+    `errors`."""
     th = ThresholdPair(params.s, params.r)
     eps = Epsilon(params.eps)
-    # the `<= s` and `>= r` masks every threshold detector reads
-    masks = ThresholdMasks(t)
 
     def run_ladder():
-        res = op._ladder(masks, th, params.exact_limit)
+        res = op.max_ladder(t, th, params.exact_limit)
         return {"length": res.length, "exact": res.exact,
                 "witness": _checked_witness(t, res.witness)}
 
@@ -133,21 +131,19 @@ def _sections(t: EvalTable, params: ClassifyParams):
                 "witness": _checked_witness(t, res.witness)}
 
     def run_shatter(dual):
-        res = ip._shattering_dimension(masks, th, params.exact_limit, dual)
+        table = transpose(t) if dual else t
+        res = ip.shattering_dimension(table, th, params.exact_limit)
         return {"dim": res.dim, "exact": res.exact,
-                "witness": _checked_witness(transpose(t) if dual else t, res.witness)}
-
-    # the column pre-order both chain detectors search
-    above = sop._above_masks(t)
+                "witness": _checked_witness(table, res.witness)}
 
     def run_chain():
-        res = sop._strict_chain(t, eps, above)
+        res = sop.strict_chain(t, eps)
         return {"m": res.m, "cols": list(res.cols), "step_rows": list(res.step_rows),
                 "exact": True}
 
     def run_sop_literal():
         try:
-            w = sop._sop_witness(t, eps, max(2, params.min_chain), params.exact_limit, above)
+            w = sop.sop_witness(t, eps, max(2, params.min_chain), params.exact_limit)
         except SearchBudgetExceeded:
             return {"status": "budget_exceeded", "witness": None}
         if w is None:
@@ -155,8 +151,8 @@ def _sections(t: EvalTable, params: ClassifyParams):
         return {"status": "found", "witness": _checked_witness(t, w)}
 
     def run_talagrand():
-        k_min, reports = talagrand._almost_nip_scan(
-            masks, range(t.n_rows), th, params.k_max, params.distinct_coords, params.tuple_budget
+        k_min, reports = talagrand.almost_nip_scan(
+            t, range(t.n_rows), th, params.k_max, params.distinct_coords, params.tuple_budget
         )
         return {"k_min": k_min, "reports": [r.to_dict() for r in reports]}
 
@@ -259,8 +255,8 @@ def dichotomy_scan(
     matches the one `classify`'s verdicts give.  Tables with a long ladder
     but neither explanation are serialized with their full `classify`
     report (capped at `exception_cap`); only those recorded read the other
-    five sections, with the trial's masks, pre-order and three sections
-    already run.  At finite scale they are expected data, not failures.
+    five sections, with three sections and the table's `masks` (freed with
+    it) already built.  At finite scale they are expected data, not failures.
     """
     trials, seed = integer(trials, "trials", 0), integer(seed, "seed", 0)
     exception_cap = integer(exception_cap, "exception_cap", 0)

@@ -6,6 +6,7 @@ through :func:`transpose`.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
@@ -63,10 +64,11 @@ class EvalTable:
 
     Entries are 64-bit floats; all downstream threshold comparisons are
     exact (no implicit tolerance), so tables should be pre-rounded by
-    callers who want tolerant comparisons.
+    callers who want tolerant comparisons.  Its `masks` (`ThresholdMasks`)
+    are derived data, outside equality, hashing and every serialized form.
     """
 
-    __slots__ = ("entries", "bound", "row_labels", "col_labels")
+    __slots__ = ("entries", "bound", "row_labels", "col_labels", "_masks")
 
     def __init__(
         self,
@@ -101,9 +103,17 @@ class EvalTable:
         object.__setattr__(self, "bound", float(bound))
         object.__setattr__(self, "row_labels", tuple(row_labels) if row_labels is not None else None)
         object.__setattr__(self, "col_labels", tuple(col_labels) if col_labels is not None else None)
+        object.__setattr__(self, "_masks", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("EvalTable is immutable")
+
+    @property
+    def masks(self) -> "ThresholdMasks":
+        """The table's `ThresholdMasks`, made on first read."""
+        if self._masks is None:
+            object.__setattr__(self, "_masks", ThresholdMasks(self))
+        return self._masks
 
     @property
     def n_rows(self) -> int:
@@ -168,13 +178,16 @@ def _classify_array_error(entries, exc) -> Exception:
 
 
 def transpose(t: EvalTable) -> EvalTable:
-    """Swap the roles of points and parameters (the dual table)."""
-    return EvalTable(
+    """Swap the roles of points and parameters (the dual table).  Its
+    threshold lists are `t`'s under the flipped key (`ThresholdMasks`)."""
+    dual = EvalTable(
         t.entries.T,
         bound=t.bound,
         row_labels=t.col_labels,
         col_labels=t.row_labels,
     )
+    object.__setattr__(dual, "_masks", ThresholdMasks(dual, twin=t.masks))
+    return dual
 
 
 def bitmasks(flags) -> list[int]:
@@ -186,21 +199,43 @@ def bitmasks(flags) -> list[int]:
 
 
 class ThresholdMasks(dict):
-    """The `<= s` and `>= r` bitmasks of table `t` that every detector reads,
-    each list built on first use, or for every value at once by `sweep`, and
-    then kept.  Key (op, v, by_col), op `operator.le` or `operator.ge`:
-    `bitmasks(op(t.entries, v))`, one mask per row, or per column with
-    `by_col` (the per-row masks of `transpose(t)`)."""
+    """`t.masks`: the `<= s` and `>= r` bitmasks of table `t` that every
+    detector reads, and its column pre-order `above`, each built on first use
+    (or for every value at once by `sweep`) and kept as long as `t`, after a
+    `stability_spectrum` too: O((rows + cols) * width) bits per threshold
+    pair asked, plus cols^2 bits for the pre-order.  Key (op, v, by_col), op
+    `operator.le` or `operator.ge`: `bitmasks(op(t.entries, v))`, one mask
+    per row, or per column with `by_col` (the per-row masks of
+    `transpose(t)`, whose set reads and fills `twin`, `t`'s set, under the
+    flipped key).  It holds `t.entries`, not `t`, so it makes no cycle."""
 
-    def __init__(self, t: EvalTable):
+    def __init__(self, t: EvalTable, twin: "ThresholdMasks | None" = None):
         super().__init__()
-        self.t = t
+        self.entries = t.entries
+        self.twin = twin
 
     def __missing__(self, key: tuple) -> list[int]:
         op, v, by_col = key
-        flags = op(self.t.entries, v)
-        self[key] = masks = bitmasks(flags.T if by_col else flags)
+        if self.twin is not None:
+            self[key] = masks = self.twin[op, v, not by_col]
+        else:
+            flags = op(self.entries, v)
+            self[key] = masks = bitmasks(flags.T if by_col else flags)
         return masks
+
+    @functools.cached_property
+    def above(self) -> list[int]:
+        """above[c] has bit c2 set iff c2 != c and column c <= column c2
+        pointwise: the masks of `sop.preorder_psi(t).psi <= 0`, compared
+        directly (for finite floats, a - b <= 0 exactly when a <= b), one
+        block of columns c at a time (`blocks`) and without a float matrix."""
+        vals = self.entries
+        n_cols = vals.shape[1]
+        flags = np.empty((n_cols, n_cols), dtype=bool)
+        for block in blocks(n_cols, vals.size):
+            flags[block] = (vals[:, block, None] <= vals[:, None, :]).all(axis=0)
+        np.fill_diagonal(flags, False)
+        return bitmasks(flags)
 
     def sweep(self) -> list[float]:
         """Build the `>= v` per-column lists of every distinct value v but the
@@ -208,10 +243,10 @@ class ThresholdMasks(dict):
         and return the distinct values in ascending order.  One sort of the
         cells orders them; walking the values down, each `>= v` list is the
         one before it with v's cells OR-ed in, and walking up, so is each
-        `<= v` list.  It pays for a whole table's values at once, so only a
-        caller that reads most of them should use it."""
-        n_rows, n_cols = self.t.entries.shape
-        flat = self.t.entries.ravel()
+        `<= v` list.  It pays for a whole table's values at once, and they
+        stay with the table, so only a caller that reads most should use it."""
+        n_rows, n_cols = self.entries.shape
+        flat = self.entries.ravel()
         order = np.argsort(flat, kind="stable")
         cells = flat[order]
         # the first sorted cell of each distinct value (-0.0 == 0.0)

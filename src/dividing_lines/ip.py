@@ -8,8 +8,7 @@ from operator import ge, le
 from typing import Mapping, Sequence
 
 from . import backend
-from .core import (EvalTable, ThresholdMasks, ThresholdPair, Witness, distinct_indices, indices,
-                   integer)
+from .core import EvalTable, ThresholdPair, Witness, distinct_indices, indices, integer
 from .errors import TooManyColumns
 from .op import DEFAULT_EXACT_LIMIT, LadderWitness
 
@@ -90,7 +89,7 @@ def is_shattered(
     (cols,), duplicate = distinct_indices(t, (cols, 1))
     if duplicate:
         raise ValueError("cols must be distinct")
-    masks = ThresholdMasks(t)
+    masks = t.masks
     low_by_col, high_by_col = masks[le, th.s, True], masks[ge, th.r, True]
     full = (1 << t.n_rows) - 1
     selector = {}
@@ -118,15 +117,9 @@ def shattering_dimension(
     `exact_limit` walks the same order over fewer nodes, so its dimension
     is never lower.
     """
-    return _shattering_dimension(ThresholdMasks(t), th, integer(exact_limit, "exact_limit", 0))
-
-
-def _shattering_dimension(masks: ThresholdMasks, th: ThresholdPair, exact_limit: int,
-                          dual: bool = False) -> ShatterDimResult:
-    """`shattering_dimension` of the mask set's table, or with `dual` of its
-    transpose, whose columns are the table's rows."""
-    n_rows = masks.t.n_cols if dual else masks.t.n_rows
-    low_by_col, high_by_col = masks[le, th.s, not dual], masks[ge, th.r, not dual]
+    exact_limit = integer(exact_limit, "exact_limit", 0)
+    masks = t.masks
+    low_by_col, high_by_col = masks[le, th.s, True], masks[ge, th.r, True]
     # twin columns (equal low and high masks) are searched once, at the
     # first: a shattered set holds no two twins, and one that holds a later
     # twin stays shattered, and sorts first, with the earlier twin in place
@@ -136,6 +129,7 @@ def _shattering_dimension(masks: ThresholdMasks, th: ThresholdPair, exact_limit:
     originals = list(first.values())  # ascending, in insertion order
     low_by_col = [low_by_col[c] for c in originals]
     high_by_col = [high_by_col[c] for c in originals]
+    n_rows = t.n_rows
     max_k = min(int(math.log2(n_rows)) if n_rows > 1 else 0, MAX_SHATTER_COLS, len(low_by_col))
     if max_k == 0:
         return ShatterDimResult(0, None, True)

@@ -10,8 +10,8 @@ from typing import Literal, Sequence
 import numpy as np
 
 from . import backend
-from .core import (Epsilon, EvalTable, ThresholdMasks, ThresholdPair, Witness, bitmasks, blocks,
-                   column_blocks, distinct_indices, indices, integer)
+from .core import (Epsilon, EvalTable, ThresholdPair, Witness, bitmasks, blocks, column_blocks,
+                   distinct_indices, indices, integer)
 
 DEFAULT_EXACT_LIMIT = 10**6
 # nodes for the first forward ladder pass and for the transposed probe; most
@@ -159,15 +159,15 @@ def max_ladder(
     is the longest ladder any pass found, a sound lower bound flagged
     `exact=False`.
     """
-    return _ladder(ThresholdMasks(t), th, integer(exact_limit, "exact_limit", 0))
+    return _ladder(t, th, integer(exact_limit, "exact_limit", 0))
 
 
-def _ladder(masks: ThresholdMasks, th: ThresholdPair, exact_limit: int,
-            floor: int = 0) -> LadderResult:
-    """`max_ladder` of the mask set's table, looking only for ladders
-    longer than `floor`.  When `floor` >= 1 and no longer ladder is found,
-    the result has length `floor` and no witness; `exact` then says that
-    none exists."""
+def _ladder(t: EvalTable, th: ThresholdPair, exact_limit: int, floor: int = 0) -> LadderResult:
+    """`max_ladder`, looking only for ladders longer than `floor` (the
+    stability spectrum's decision calls).  When `floor` >= 1 and no longer
+    ladder is found, the result has length `floor` and no witness; `exact`
+    then says that none exists."""
+    masks = t.masks
     ge_by_col, le_by_row = masks[ge, th.r, True], masks[le, th.s, False]
     budget = min(exact_limit, _LADDER_SLICE)
     length, rows, cols, exact = backend.ladder_search(ge_by_col, le_by_row, budget, floor)
@@ -286,9 +286,9 @@ def stability_spectrum(
     pair of table values at least as wide as the cell's, so cells that
     cannot beat it are never asked, at l and at every longer length the
     ladder reaches.  Each pair is searched at most once.  Every call reads
-    one `core.ThresholdMasks`, whose forward lists (`>= r` by column, `<= s`
-    by row) one sorted sweep over the cells builds for every value before
-    the walk (`ThresholdMasks.sweep`): the walk reads nearly all of them.
+    `t.masks`, whose forward lists (`>= r` by column, `<= s` by row) one
+    sorted sweep over the cells builds for every value before the walk
+    (`ThresholdMasks.sweep`; they stay with `t`): the walk reads nearly all.
     The first length with no ladder ends the walk, and every longer length
     is None: a walk there would only re-read the cells this one cached as
     having no ladder, so the result is the same at any `exact_limit`.
@@ -298,8 +298,7 @@ def stability_spectrum(
     """
     max_len = integer(max_len, "max_len", 2)
     exact_limit = integer(exact_limit, "exact_limit", 0)
-    masks = ThresholdMasks(t)
-    values = masks.sweep()
+    values = t.masks.sweep()
     entries = t.entries.tolist()
     # (a, b) -> (length of the ladder found, its own gap), or (l - 1, None)
     # when the call asking for length l found none
@@ -309,7 +308,7 @@ def stability_spectrum(
         """The own gap of a ladder of at least `length` at (a, b), if found."""
         if (a, b) not in searched:
             th = ThresholdPair(values[a], values[b])
-            res = _ladder(masks, th, exact_limit, floor=length - 1)
+            res = _ladder(t, th, exact_limit, floor=length - 1)
             gap = None if res.witness is None else _own_gap(entries, res.witness)
             searched[a, b] = (res.length, gap)
         found, gap = searched[a, b]

@@ -104,19 +104,6 @@ def preorder_psi(t: EvalTable) -> PreorderMatrix:
     return PreorderMatrix(psi)
 
 
-def _above_masks(t: EvalTable) -> list[int]:
-    """above[c] has bit c2 set iff c2 != c and column c <= column c2
-    pointwise: the masks of `preorder_psi(t).psi <= 0`, compared directly
-    (for finite floats, a - b <= 0 exactly when a <= b), one block of
-    columns c at a time (`column_blocks`) and without a float matrix."""
-    vals = t.entries
-    flags = np.empty((t.n_cols, t.n_cols), dtype=bool)
-    for block in column_blocks(t):
-        flags[block] = (vals[:, block, None] <= vals[:, None, :]).all(axis=0)
-    np.fill_diagonal(flags, False)
-    return bitmasks(flags)
-
-
 def _low_bit(mask: int) -> int:
     """The index of the lowest set bit of a nonzero mask."""
     return (mask & -mask).bit_length() - 1
@@ -131,15 +118,12 @@ def strict_chain(t: EvalTable, e: Epsilon) -> StrictChainResult:
     ascending count of columns above finds the longest path from each,
     without recursion and so without a depth limit.  Ties go to the lowest
     column index, at the start and at each step.  It costs O(rows * cols^2)
-    time and a cols^2 boolean array built in column blocks (`_above_masks`),
-    plus O(cols * m) operations on cols-bit masks.  m >= 1 always.
+    time and cols^2 booleans built in column blocks, for the gaps and (once
+    per table) the pre-order `t.masks.above`, plus O(cols * m) operations
+    on cols-bit masks.  m >= 1 always.
     """
-    return _strict_chain(t, e, _above_masks(t))
-
-
-def _strict_chain(t: EvalTable, e: Epsilon, above: list[int]) -> StrictChainResult:
-    """`strict_chain` on the `_above_masks` the caller built."""
     vals = t.entries
+    above = t.masks.above
     gaps: list[int] = []
     for block in column_blocks(t):
         # flags[c - block.start, c2] = some row p has T[p][c2] >= T[p][c] + eps
@@ -184,23 +168,16 @@ def sop_witness(
     search finishes below the node budget, or with no search at all when
     the table's value range is too narrow for one chain step (min(T) + eps
     < max(T) fails, as in every {0,1} table at eps >= 1); raises
-    SearchBudgetExceeded otherwise.
+    SearchBudgetExceeded otherwise.  It shares `t.masks.above` with `strict_chain`.
     """
     target_m = integer(target_m, "target_m", 2)
     exact_limit = integer(exact_limit, "exact_limit", 0)
-    return _sop_witness(t, e, target_m, exact_limit, _above_masks(t))
-
-
-def _sop_witness(
-    t: EvalTable, e: Epsilon, target_m: int, exact_limit: int, above: list[int]
-) -> ChainWitness | None:
-    """`sop_witness` on the `_above_masks` the caller built."""
     # a step needs T[w][c'] + eps < T[w'][c]; rounding is monotone, so when
     # min + eps < max fails, that fails for every pair of cells too
     if not (t.entries.min() + e.eps < t.entries.max()):
         return None
     cols, rows, exact = backend.chain_witness_search(
-        t.entries.tolist(), above, e.eps, target_m, exact_limit
+        t.entries.tolist(), t.masks.above, e.eps, target_m, exact_limit
     )
     if not exact:
         raise SearchBudgetExceeded(f"sop_witness budget {exact_limit} exhausted")

@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from . import backend
-from .core import EvalTable, ThresholdMasks, ThresholdPair, indices, integer
+from .core import EvalTable, ThresholdPair, indices, integer
 from .errors import BudgetExceeded, EmptySubset
 
 DEFAULT_TUPLE_BUDGET = 10**8
@@ -160,10 +160,12 @@ def _mask_groups(masks: list[int], members: tuple[int, ...]) -> list[tuple[int, 
     return list(groups.items())
 
 
-def _lattice(masks: ThresholdMasks, members: tuple[int, ...], th: ThresholdPair, k_max: int,
+def _lattice(t: EvalTable, members: tuple[int, ...], th: ThresholdPair, k_max: int,
              distinct_coords: bool) -> list[list[int | None]]:
-    """The `backend.dk_count_free` lattice over the member rows grouped by
-    mask, holding every entry that the exact counts for k = 1..k_max read."""
+    """The `backend.dk_count_free` lattice over the member rows of `t`
+    grouped by mask, holding every entry that the exact counts for
+    k = 1..k_max read."""
+    masks = t.masks
     low, high = masks[operator.le, th.s, False], masks[operator.ge, th.r, False]
     return backend.dk_count_free(_mask_groups(low, members), _mask_groups(high, members),
                                  k_max, diagonal=not distinct_coords)
@@ -231,7 +233,7 @@ def dk_count(
     n = len(members)
     tuples = _tuple_space(n, k, mode, budget)
     if mode == "exact":
-        free = _lattice(ThresholdMasks(t), members, th, k, distinct_coords)
+        free = _lattice(t, members, th, k, distinct_coords)
         return _report(k, th, members, tuples, distinct_coords,
                        _exact_count(free, k, distinct_coords))
     space = float(math.perm(n, 2 * k) if distinct_coords else tuples)
@@ -270,15 +272,9 @@ def almost_nip_scan(
     is fewer.
     """
     k_max, budget = integer(k_max, "k_max", 1), integer(budget, "budget", 0)
-    return _almost_nip_scan(ThresholdMasks(t), E, th, k_max, distinct_coords, budget)
-
-
-def _almost_nip_scan(masks: ThresholdMasks, E: Sequence[int], th: ThresholdPair, k_max: int,
-                     distinct_coords: bool, budget: int) -> tuple[int | None, list[DkReport]]:
-    """`almost_nip_scan` of the mask set's table, for a checked `k_max` and `budget`."""
-    members = _check_subset(masks.t, E)
+    members = _check_subset(t, E)
     spaces = [_tuple_space(len(members), k, "exact", budget) for k in range(1, k_max + 1)]
-    free = _lattice(masks, members, th, k_max, distinct_coords)
+    free = _lattice(t, members, th, k_max, distinct_coords)
     reports = [_report(k, th, members, tuples, distinct_coords,
                        _exact_count(free, k, distinct_coords))
                for k, tuples in enumerate(spaces, 1)]

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import gc
 import json
+import sys
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -17,15 +20,20 @@ from dividing_lines import (
     ThresholdPair,
     classify,
     dichotomy_scan,
+    dk_count,
     generate,
     half_graph,
+    max_ladder,
     random_table,
+    serialize,
+    shattering_dimension,
+    stability_spectrum,
     table_digest,
     transpose,
     validate_witness,
     witness_from_dict,
 )
-from dividing_lines import backend, core, op, sop, talagrand
+from dividing_lines import backend, core, op, talagrand
 from dividing_lines.errors import InvalidWitness
 
 SECTION_NAMES = (
@@ -133,21 +141,33 @@ def test_classify_params_check_counts_at_construction(kwargs, message):
     assert classify(half_graph(3), params).sections["talagrand"] is None
 
 
-def test_classify_builds_four_threshold_lists(monkeypatch):
-    # `<= s` and `>= r`, each by row and by column, shared by the ladder (its
-    # transposed probe too), both shatterings and the Talagrand scan
-    built, passes = [], []
-    build, search = core.bitmasks, backend.ladder_search
+def _count_mask_builds(monkeypatch, built: dict) -> None:
+    """Count each `core.bitmasks` call in `built`, under the name of the
+    `ThresholdMasks` member that made it: "__missing__" builds a threshold
+    list, "above" the column pre-order."""
+    build = core.bitmasks
 
     def counted(flags):
-        built.append(flags.shape)
+        member = sys._getframe(1).f_code.co_name
+        built[member] = built.get(member, 0) + 1
         return build(flags)
+
+    monkeypatch.setattr(core, "bitmasks", counted)
+
+
+def test_classify_builds_four_threshold_lists(monkeypatch):
+    # `<= s` and `>= r`, each by row and by column, shared by the ladder (its
+    # transposed probe too), both shatterings (the dual one through the
+    # transposed table) and the Talagrand scan; and one column pre-order,
+    # shared by the strict chain and the literal witness search
+    built, passes = {}, []
+    search = backend.ladder_search
 
     def recorded(*args, **kwargs):
         passes.append(args)
         return search(*args, **kwargs)
 
-    monkeypatch.setattr(core, "bitmasks", counted)
+    _count_mask_builds(monkeypatch, built)
     monkeypatch.setattr(backend, "ladder_search", recorded)
     # the second table's forward ladder outruns its first slice, so the probe runs
     probed = transpose(random_table(18, 18, "bernoulli", seed=[0, 18, 99]))
@@ -156,7 +176,47 @@ def test_classify_builds_four_threshold_lists(monkeypatch):
         passes.clear()
         classify(t, ClassifyParams(exact_limit=30_000))
         assert len(passes) == n_passes
-        assert len(built) == 4
+        assert built == {"__missing__": 4, "above": 1}
+
+
+def test_table_masks_are_invisible_and_freed():
+    # a table's mask set is derived data: filled or not, the table compares,
+    # hashes and serializes as a fresh copy does, and reports do not change
+    params = ClassifyParams(s=-0.3, r=0.3, eps=0.4)
+    t = random_table(7, 6, "uniform", seed=[28, 7, 6])
+
+    def fresh():
+        return EvalTable.from_dict(t.to_dict())
+
+    cold = classify(fresh(), params).to_json()
+    stability_spectrum(t, 6)
+    max_ladder(t, ThresholdPair(-0.3, 0.3))
+    max_ladder(t, ThresholdPair(-0.5, 0.2))
+    shattering_dimension(transpose(t), ThresholdPair(-0.3, 0.3))
+    dk_count(t, range(7), 2, ThresholdPair(-0.1, 0.6))
+    assert len(t.masks) > 20 and len(t.masks) > len(fresh().masks)
+    copy = fresh()
+    assert t == copy and hash(t) == hash(copy)
+    assert t.to_dict() == copy.to_dict() and serialize(t) == serialize(copy)
+    assert table_digest(t) == table_digest(copy)
+    for name in ("masks", "_masks", "entries", "other"):
+        with pytest.raises(AttributeError):
+            setattr(t, name, None)
+    assert classify(t, params).to_json() == cold
+    assert classify(transpose(transpose(t)), params).to_json() == cold
+    # no reference cycle: without the cycle collector, a table used by
+    # classify and transpose is freed when its last name goes
+    gc.disable()
+    try:
+        table = fresh()
+        entries = weakref.ref(table.entries)
+        dual = transpose(table)
+        classify(table, params)
+        classify(dual, params)
+        del table, dual
+        assert entries() is None
+    finally:
+        gc.enable()
 
 
 def test_sop_literal_statuses():
@@ -215,8 +275,8 @@ def test_dichotomy_scan_classifies_only_recorded_exceptions(monkeypatch):
     # classify of a recorded exception, and its report reuses the trial's
     # ladder and column pre-order: one of each per trial
     calls = {"alt": 0, "talagrand": 0, "ladder": 0, "above": 0}
-    alternation_rank, almost_nip_scan = op.alternation_rank, talagrand._almost_nip_scan
-    ladder, above_masks = op._ladder, sop._above_masks
+    alternation_rank, almost_nip_scan, ladder = (
+        op.alternation_rank, talagrand.almost_nip_scan, op._ladder)
 
     def counted(key, fn):
         def call(*args, **kwargs):
@@ -225,14 +285,15 @@ def test_dichotomy_scan_classifies_only_recorded_exceptions(monkeypatch):
         return call
 
     monkeypatch.setattr(op, "alternation_rank", counted("alt", alternation_rank))
-    monkeypatch.setattr(talagrand, "_almost_nip_scan", counted("talagrand", almost_nip_scan))
+    monkeypatch.setattr(talagrand, "almost_nip_scan", counted("talagrand", almost_nip_scan))
     monkeypatch.setattr(op, "_ladder", counted("ladder", ladder))
-    monkeypatch.setattr(sop, "_above_masks", counted("above", above_masks))
+    _count_mask_builds(monkeypatch, calls)
     gen = GeneratorConfig(kind="random_table", n_rows=5, n_cols=5)
     for cap, recorded in ((0, 0), (2, 2), (25, 5)):
         calls.update(alt=0, talagrand=0, ladder=0, above=0)
         scan = dichotomy_scan(gen, trials=100, seed=3, exception_cap=cap)
         assert scan.exception_count == 5 and len(scan.exceptions) == recorded
+        calls.pop("__missing__")  # threshold lists: not counted here
         assert calls == {"alt": 2 * recorded, "talagrand": recorded, "ladder": 100,
                          "above": 100}
         for exc in scan.exceptions:

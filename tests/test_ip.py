@@ -19,7 +19,7 @@ from dividing_lines import (
     shattering_dimension,
     transpose,
 )
-from dividing_lines import backend, ip
+from dividing_lines import backend
 from dividing_lines.core import ThresholdMasks
 from dividing_lines.errors import IndexOutOfRange, InvalidWitness, TooManyColumns
 from dividing_lines.ip import MAX_SHATTER_COLS
@@ -136,7 +136,7 @@ def test_dimension_with_twins_is_lexfirst(entries):
     res = shattering_dimension(t, TH)
     assert res.exact and _shatter_tuple(res) == want
     tall = transpose(t)
-    res = ip._shattering_dimension(ThresholdMasks(tall), TH, 10**6, dual=True)
+    res = shattering_dimension(transpose(tall), TH)
     assert res.exact and _shatter_tuple(res) == want
 
 

@@ -309,10 +309,9 @@ def test_ladder_passes_share_one_budget(monkeypatch, exact_limit):
 @pytest.mark.parametrize("n", [63, 64, 65])
 def test_floored_ladder_half_graph(n):
     t = half_graph(n)
-    masks = ThresholdMasks(t)
-    res = op._ladder(masks, TH, op.DEFAULT_EXACT_LIMIT, floor=n)
+    res = op._ladder(t, TH, op.DEFAULT_EXACT_LIMIT, floor=n)
     assert (res.length, res.witness, res.exact) == (n, None, True)
-    res = op._ladder(masks, TH, op.DEFAULT_EXACT_LIMIT, floor=n - 1)
+    res = op._ladder(t, TH, op.DEFAULT_EXACT_LIMIT, floor=n - 1)
     assert (res.length, res.exact) == (n, True)
     assert res.witness == max_ladder(t, TH).witness
 
@@ -323,7 +322,6 @@ def test_floored_ladder_probe_proves_floor(monkeypatch):
     t = transpose(random_table(18, 18, "bernoulli", seed=[0, 18, 99]))
     full = max_ladder(t, TH)
     assert (full.length, full.exact) == (7, True)
-    masks = ThresholdMasks(t)
     passes = []
     search = backend.ladder_search
 
@@ -333,10 +331,10 @@ def test_floored_ladder_probe_proves_floor(monkeypatch):
         return res
 
     monkeypatch.setattr(backend, "ladder_search", recorded)
-    res = op._ladder(masks, TH, op.DEFAULT_EXACT_LIMIT, floor=7)
+    res = op._ladder(t, TH, op.DEFAULT_EXACT_LIMIT, floor=7)
     assert (res.length, res.witness, res.exact) == (7, None, True)
     assert passes == [False, True]
-    res = op._ladder(masks, TH, op.DEFAULT_EXACT_LIMIT, floor=6)
+    res = op._ladder(t, TH, op.DEFAULT_EXACT_LIMIT, floor=6)
     assert (res.length, res.witness, res.exact) == (7, full.witness, True)
 
 
@@ -825,6 +823,92 @@ def test_looser_thresholds_never_lower_ladder_or_shattering(t):
             for (low, low_exact), (high, high_exact) in zip(base, looser):
                 if low_exact and high_exact:
                     assert high >= low, ((a, d), (s, r))
+
+
+def _budget_values(t: EvalTable, th: ThresholdPair, budget: int) -> dict:
+    """(value, exact) of the ladder and both shattering dimensions at `budget`."""
+    ladder = max_ladder(t, th, budget)
+    primal = shattering_dimension(t, th, budget)
+    dual = shattering_dimension(transpose(t), th, budget)
+    return {"ladder": (ladder.length, ladder.exact), "primal": (primal.dim, primal.exact),
+            "dual": (dual.dim, dual.exact)}
+
+
+def _alternation_values(t: EvalTable, e: Epsilon, budget: int) -> dict:
+    ii, iii = alternation_rank(t, e, "ii", budget), alternation_rank(t, e, "iii", budget)
+    return {"ii": (ii.rank, ii.exact), "iii": (iii.rank, iii.exact)}
+
+
+def _assert_budget_monotone(results: list[dict], budgets: tuple[int, ...], case) -> int:
+    """Assert that no value falls as the budget grows, and that an exact value
+    stays as it is; return the number of budget-bound results."""
+    for name in results[0]:
+        values = [res[name] for res in results]
+        for (small, _), (large, _), budget in zip(values, values[1:], budgets[1:]):
+            assert large >= small, (case, name, budget)
+        for k, (value, exact) in enumerate(values):
+            if exact:
+                assert all(later == value for later, _ in values[k:]), (case, name, budgets[k])
+    return sum(not exact for res in results for _, exact in res.values())
+
+
+# both sides of the first ladder slice (10^4 nodes) and of twice it, where
+# the forward rerun starts after the transposed probe
+_LADDER_BUDGETS = (100, 1_000, 5_000, 9_999, 10_000, 10_001, 15_000, 19_999, 20_000, 20_001,
+                   60_000)
+
+
+@pytest.mark.parametrize("model, th", [("bernoulli", TH), ("uniform", ThresholdPair(-0.3, 0.3))])
+def test_larger_budget_never_lowers_ladder_or_shattering(model, th):
+    inexact = 0
+    for n in (24, 28, 32):
+        t = random_table(n, n, model, seed=[n, 28])
+        results = [_budget_values(t, th, budget) for budget in _LADDER_BUDGETS]
+        inexact += _assert_budget_monotone(results, _LADDER_BUDGETS, (model, n))
+    assert inexact >= 20, inexact
+
+
+@pytest.mark.parametrize("model, eps", [("bernoulli", 1.0), ("uniform", 0.5)])
+def test_larger_budget_never_lowers_alternation(model, eps):
+    budgets = (50, 200, 1_000, 3_000, 10_000, 20_000, 50_000, 10**5)
+    inexact = 0
+    for n in (12, 14, 16):
+        for seed in (0, 1):
+            t = random_table(n, n, model, seed=[seed, n, 28])
+            results = [_alternation_values(t, Epsilon(eps), budget) for budget in budgets]
+            inexact += _assert_budget_monotone(results, budgets, (model, n, seed))
+    assert inexact >= 20, inexact
+
+
+def _row_tables():
+    # n x 5 and 5 x n across the 32- and 64-bit widths, and n x (n/8 + 2)
+    for n in (31, 32, 33, 63, 64, 65, 128):
+        yield n, 5
+        yield 5, n
+    yield from ((16, 4), (32, 6), (64, 10))
+
+
+@pytest.mark.parametrize("shape", list(_row_tables()), ids=lambda shape: f"{shape[0]}x{shape[1]}")
+def test_added_row_never_lowers_exact_values(shape):
+    # a new row is one more candidate in every search, so no exact value of
+    # the larger table is below the smaller table's (a lower bound, exact or
+    # not); a copied row could lengthen a ladder, so only >= is checked.  The
+    # strict chain is left out: a new row can break the pointwise column order
+    th, e = ThresholdPair(-0.3, 0.3), Epsilon(0.4)
+    n_rows, n_cols = shape
+    grown = random_table(n_rows + 1, n_cols, "uniform", seed=[*shape, 28])
+    pairs = 0
+    for new_row in (0, n_rows):  # the new row first, then last
+        t = EvalTable(np.delete(grown.entries, new_row, axis=0), bound=1.0)
+        small = {**_budget_values(t, th, op.DEFAULT_EXACT_LIMIT),
+                 **_alternation_values(t, e, op.DEFAULT_EXACT_LIMIT)}
+        large = {**_budget_values(grown, th, op.DEFAULT_EXACT_LIMIT),
+                 **_alternation_values(grown, e, op.DEFAULT_EXACT_LIMIT)}
+        for name, (value, exact) in large.items():
+            if exact:
+                pairs += 1
+                assert value >= small[name][0], (name, new_row)
+    assert pairs >= 8, pairs
 
 
 @pytest.mark.parametrize("t", [random_table(10, 10, "uniform", seed=[1, 9]),

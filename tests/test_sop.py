@@ -21,7 +21,6 @@ from dividing_lines import (
     strict_chain,
     transpose,
 )
-from dividing_lines import sop
 from dividing_lines.core import bitmasks
 from dividing_lines.errors import SearchBudgetExceeded
 
@@ -56,7 +55,7 @@ def test_above_masks_match_preorder_psi(width):
         t = EvalTable(entries)
         flags = preorder_psi(t).psi <= 0
         np.fill_diagonal(flags, False)
-        assert sop._above_masks(t) == bitmasks(flags), (width, seed)
+        assert t.masks.above == bitmasks(flags), (width, seed)
 
 
 def test_strict_chain_half_graph():
